@@ -63,6 +63,18 @@ struct Payload {
     return static_cast<std::uint32_t>(values.size());
   }
   [[nodiscard]] bool empty_update() const { return values.empty(); }
+
+  /// Starts a fresh message for (from, to), keeping the buffers'
+  /// capacity so a reused payload extracts without allocating.
+  void reset(int sender, int receiver) {
+    from = sender;
+    to = receiver;
+    positions.clear();
+    values.clear();
+    bytes = 0;
+    scanned = 0;
+    header = WireHeader{};
+  }
 };
 
 /// Functional reduce (mirror -> master) for one field with reduction
@@ -73,6 +85,9 @@ struct Payload {
 /// These routines move real values between per-device label arrays; the
 /// executors charge their simulated cost (extraction scan, PCIe and
 /// network transfer, apply copy) separately via the cost models.
+/// Extraction writes into a caller-owned Payload (reset first), so a
+/// caller that keeps its payloads across rounds extracts without
+/// allocating once their buffers have grown.
 template <typename T, typename Op>
 struct FieldSync {
   /// Mirror-side extraction for the master on the receiving device.
@@ -80,12 +95,10 @@ struct FieldSync {
   /// AS: ships every entry (and clears bits, which are then all stale).
   /// With accumulator semantics (Op::reset_after_extract) shipped slots
   /// reset to the identity so contributions are not double-counted.
-  static Payload<T> extract_reduce(const ExchangeList& list,
-                                   std::span<T> values, Bitset& dirty,
-                                   SyncMode mode, int from, int to) {
-    Payload<T> p;
-    p.from = from;
-    p.to = to;
+  static void extract_reduce(const ExchangeList& list, std::span<T> values,
+                             Bitset& dirty, SyncMode mode, int from, int to,
+                             Payload<T>& p) {
+    p.reset(from, to);
     const std::uint32_t n = list.size();
     if (mode == SyncMode::kAS) {
       p.values.reserve(n);
@@ -108,7 +121,6 @@ struct FieldSync {
       }
     }
     p.bytes = wire_bytes(n, p.count(), sizeof(T), mode);
-    return p;
   }
 
   /// Master-side application: combine incoming values into the master
@@ -135,13 +147,11 @@ struct FieldSync {
   /// Master-side extraction of canonical values for one mirror device.
   /// Does not clear dirty bits: a master may broadcast to several
   /// partners, so the executor clears them after the broadcast phase.
-  static Payload<T> extract_broadcast(const ExchangeList& list,
-                                      std::span<const T> values,
-                                      const Bitset& dirty, SyncMode mode,
-                                      int from, int to) {
-    Payload<T> p;
-    p.from = from;
-    p.to = to;
+  static void extract_broadcast(const ExchangeList& list,
+                                std::span<const T> values,
+                                const Bitset& dirty, SyncMode mode, int from,
+                                int to, Payload<T>& p) {
+    p.reset(from, to);
     const std::uint32_t n = list.size();
     if (mode == SyncMode::kAS) {
       p.values.reserve(n);
@@ -158,7 +168,6 @@ struct FieldSync {
       }
     }
     p.bytes = wire_bytes(n, p.count(), sizeof(T), mode);
-    return p;
   }
 
   /// Mirror-side application: combine canonical values into the cached

@@ -122,6 +122,15 @@ class Executor {
     std::vector<VertexId> frontier;
     comm::Bitset in_frontier;  // dedup across compute/sync activations
     bool progress = false;  // topology-driven activity flag
+    // Round scratch, reserved in setup() and cleared (never freed) each
+    // round, so a steady-state round allocates nothing: the frontier
+    // the kernel is running on (swapped with `frontier`), activations
+    // taken from the ctx, and the receiver side of the apply phases.
+    std::vector<VertexId> current;
+    std::vector<VertexId> activations;
+    std::vector<int> senders;
+    std::vector<VertexId> changed;
+    sim::SimTime kernel_time;  // last compute_one_round, for metrics
     std::unique_ptr<sim::DeviceMemory> memory;
     sim::SimTime clock;
     // BASP only:
@@ -166,6 +175,9 @@ class Executor {
     }
     stats_.resize(devices_);
     devs_.resize(devices_);
+    // Before init: its merge_activations already swaps the ctx's
+    // activation buffer with dev.activations, which must have capacity.
+    reserve_round_buffers();
     setup_obs();
     for (int d = 0; d < devices_; ++d) {
       const auto& lg = dg().part(d);
@@ -219,6 +231,45 @@ class Executor {
     final_audits_ = 0;
     last_sdc_rollback_round_ = std::numeric_limits<std::uint64_t>::max();
     invariants_valid_ = true;
+  }
+
+  /// Sizes the BSP round scratch and reserves every per-round buffer to
+  /// its bound here, on the calling thread, so steady-state rounds never
+  /// grow a buffer: the phases allocate nothing, and the pool's workers
+  /// never touch (and so never create) a malloc arena of their own.
+  void reserve_round_buffers() {
+    const auto n = static_cast<std::size_t>(devices_);
+    const bool bsp = config_.exec_model == ExecModel::kSync;
+    if (bsp) {
+      rmsgs_.assign(n * n, Msg<RV>{});
+      bmsgs_.assign(n * n, Msg<BV>{});
+      ready_.assign(n, sim::SimTime{});
+      after_recv_.assign(n, sim::SimTime{});
+      after_bext_.assign(n, sim::SimTime{});
+      done_.assign(n, sim::SimTime{});
+      computed_.assign(n, 0);
+    }
+    for (int d = 0; d < devices_; ++d) {
+      Dev& dev = devs_[d];
+      const std::size_t local = dg().part(d).num_local;
+      dev.frontier.reserve(local);
+      dev.current.reserve(local);
+      dev.activations.reserve(local);
+      if (!bsp) continue;
+      dev.senders.reserve(n);
+      dev.changed.reserve(local);
+      for (int o = 0; o < devices_; ++o) {
+        if (o == d) continue;
+        const std::size_t r = sync().list(d, o, reduce_filter_).size();
+        const std::size_t b = sync().list(o, d, bcast_filter_).size();
+        comm::Payload<RV>& rp = rmsgs_[d * n + o].payload;
+        comm::Payload<BV>& bp = bmsgs_[d * n + o].payload;
+        rp.positions.reserve(r);
+        rp.values.reserve(r);
+        bp.positions.reserve(b);
+        bp.values.reserve(b);
+      }
+    }
   }
 
   // ---- observability -----------------------------------------------------
@@ -340,8 +391,9 @@ class Executor {
     Dev& dev = devs_[d];
     const auto& lg = dg().part(d);
     dev.ctx->reset_work();
-    std::vector<VertexId> frontier;
-    frontier.swap(dev.frontier);
+    dev.current.swap(dev.frontier);
+    dev.frontier.clear();
+    const std::vector<VertexId>& frontier = dev.current;
     for (VertexId v : frontier) dev.in_frontier.reset(v);
     {
       // The real host work: the label-update kernel itself.
@@ -386,12 +438,20 @@ class Executor {
     stats_.rounds[d] += 1;
     dev_scope(d).span(obs::SpanKind::kKernel, "kernel", at, at + t,
                       dev.ctx->total_edges(), stats_.rounds[d]);
-    if (m_rounds_ != nullptr) {
-      m_rounds_->inc();
-      m_frontier_->observe(static_cast<double>(frontier.size()));
-      m_kernel_us_->observe(t.micros());
-    }
+    dev.kernel_time = t;
     return t;
+  }
+
+  /// Kernel metrics of device d's last compute_one_round. Called on the
+  /// calling thread in device order, never from a parallel phase: the
+  /// kernel-time histogram's floating-point sum depends on the order of
+  /// its observations.
+  void observe_kernel(int d) {
+    if (m_rounds_ == nullptr) return;
+    const Dev& dev = devs_[d];
+    m_rounds_->inc();
+    m_frontier_->observe(static_cast<double>(dev.current.size()));
+    m_kernel_us_->observe(dev.kernel_time.micros());
   }
 
   [[nodiscard]] bool device_has_work(int d) const {
@@ -856,27 +916,34 @@ class Executor {
       flight().record(obs::FlightKind::kRound, -1, stats_.global_rounds, 0,
                       "bsp", barrier.seconds());
 
+      // The four phases run one device per pool thread; each touches
+      // only its own device's state and its own row (senders) or column
+      // (receivers) of the message slots. Round scratch is reused.
+      for (auto& m : rmsgs_) m.payload.from = -1;  // slots start empty
+      for (auto& m : bmsgs_) m.payload.from = -1;
+      std::fill(ready_.begin(), ready_.end(), barrier);
+      std::fill(computed_.begin(), computed_.end(), 0);
+
       // Phase 1: compute + reduce extraction (parallel over devices).
-      std::vector<sim::SimTime> ready(devices_, barrier);
-      std::vector<Msg<RV>> rmsgs(
-          static_cast<std::size_t>(devices_) * devices_);
-      std::vector<std::uint8_t> computed(devices_, 0);
       pool.parallel_for(0, devices_, [&](std::size_t lo, std::size_t hi,
                                          std::size_t) {
         for (std::size_t d = lo; d < hi; ++d) {
           if (silent_[d]) continue;
           if (device_has_work(static_cast<int>(d))) {
-            ready[d] += compute_one_round(static_cast<int>(d), ready[d]);
-            computed[d] = 1;
+            ready_[d] += compute_one_round(static_cast<int>(d), ready_[d]);
+            computed_[d] = 1;
           }
-          extract_reduce_all(static_cast<int>(d), ready[d], rmsgs);
+          extract_reduce_all(static_cast<int>(d), ready_[d], rmsgs_);
         }
       });
+      for (int d = 0; d < devices_; ++d) {
+        if (computed_[d] != 0) observe_kernel(d);
+      }
       if (config_.collect_trace) {
         RoundTrace tr;
         tr.round = stats_.global_rounds;
         for (int d = 0; d < devices_; ++d) {
-          if (computed[d] == 0) continue;
+          if (computed_[d] == 0) continue;
           tr.active_vertices += devs_[d].ctx->applications();
           tr.edges += devs_[d].ctx->total_edges();
         }
@@ -884,46 +951,42 @@ class Executor {
       }
 
       // Phase 2: reduce application (parallel over receivers).
-      std::vector<sim::SimTime> after_recv = ready;
       pool.parallel_for(0, devices_, [&](std::size_t lo, std::size_t hi,
                                          std::size_t) {
         for (std::size_t o = lo; o < hi; ++o) {
-          after_recv[o] =
-              apply_reduce_all(static_cast<int>(o), ready[o], rmsgs);
+          after_recv_[o] =
+              apply_reduce_all(static_cast<int>(o), ready_[o], rmsgs_);
         }
       });
 
       // Phase 3: broadcast extraction (parallel over senders).
-      std::vector<Msg<BV>> bmsgs(
-          static_cast<std::size_t>(devices_) * devices_);
-      std::vector<sim::SimTime> after_bext = after_recv;
+      after_bext_ = after_recv_;
       pool.parallel_for(0, devices_, [&](std::size_t lo, std::size_t hi,
                                          std::size_t) {
         for (std::size_t d = lo; d < hi; ++d) {
           if (silent_[d]) continue;
-          after_bext[d] =
-              extract_bcast_all(static_cast<int>(d), after_recv[d], bmsgs);
+          after_bext_[d] =
+              extract_bcast_all(static_cast<int>(d), after_recv_[d], bmsgs_);
         }
       });
 
       // Phase 4: broadcast application (parallel over receivers).
-      std::vector<sim::SimTime> done = after_bext;
       pool.parallel_for(0, devices_, [&](std::size_t lo, std::size_t hi,
                                          std::size_t) {
         for (std::size_t o = lo; o < hi; ++o) {
-          done[o] =
-              apply_bcast_all(static_cast<int>(o), after_bext[o], bmsgs);
+          done_[o] =
+              apply_bcast_all(static_cast<int>(o), after_bext_[o], bmsgs_);
           devs_[o].dirty_b.clear();  // broadcasts consumed
         }
       });
 
       // Network byte accounting (sequential; cheap).
-      for (auto& m : rmsgs) {
+      for (const auto& m : rmsgs_) {
         if (m.payload.from >= 0) {
           account_network(m.payload.from, m.payload.to, m.payload.bytes);
         }
       }
-      for (auto& m : bmsgs) {
+      for (const auto& m : bmsgs_) {
         if (m.payload.from >= 0) {
           account_network(m.payload.from, m.payload.to, m.payload.bytes);
         }
@@ -942,8 +1005,8 @@ class Executor {
       int slowest = 0;  // barrier-release cause (ties: lowest device)
       sim::SimTime next_barrier = barrier;
       for (int d = 0; d < devices_; ++d) {
-        if (done[d] > next_barrier) slowest = d;
-        next_barrier = sim::max(next_barrier, done[d]);
+        if (done_[d] > next_barrier) slowest = d;
+        next_barrier = sim::max(next_barrier, done_[d]);
       }
       // The barrier release is caused by the slowest device's last span;
       // linking it into every wait span lets the critical-path walk
@@ -964,11 +1027,11 @@ class Executor {
         next_barrier += overhead;
       }
       for (int d = 0; d < devices_; ++d) {
-        stats_.wait_time[d] += next_barrier - done[d];
-        if (next_barrier > done[d]) {
+        stats_.wait_time[d] += next_barrier - done_[d];
+        if (next_barrier > done_[d]) {
           const obs::SpanRef waiting =
               dev_scope(d).span(obs::SpanKind::kWait, "wait.barrier",
-                                done[d], next_barrier, 0,
+                                done_[d], next_barrier, 0,
                                 stats_.global_rounds);
           if (tracer_ != nullptr) tracer_->link(release, waiting);
         }
@@ -2126,12 +2189,15 @@ class Executor {
       if (o == d || silent_[o]) continue;
       const auto& list = sync().list(d, o, reduce_filter_);
       if (list.size() == 0) continue;
-      auto payload = RSync::extract_reduce(list, values, dev.dirty_r,
-                                           config_.sync_mode, d, o);
+      Msg<RV>& slot = out[static_cast<std::size_t>(d) * devices_ + o];
+      comm::Payload<RV>& payload = slot.payload;
+      RSync::extract_reduce(list, values, dev.dirty_r, config_.sync_mode, d,
+                            o, payload);
       // Empty UO updates are piggybacked on round-control traffic in
       // Gluon; they carry no modeled cost. AS always ships full lists.
       if (config_.sync_mode == comm::SyncMode::kUO &&
           payload.empty_update()) {
+        payload.from = -1;  // nothing sent: the slot stays empty
         continue;
       }
       seal_payload(payload, d, o, fault::MsgKind::kReduce,
@@ -2143,10 +2209,11 @@ class Executor {
       const Delivery del =
           deliver_link(d, o, payload.bytes, sent, fault::MsgKind::kReduce,
                        stats_.global_rounds);
-      if (del.arrival == sim::SimTime::max()) continue;  // fenced at NIC
-      Msg<RV>& slot = out[static_cast<std::size_t>(d) * devices_ + o];
-      slot.payload = std::move(payload);
-      if (del.corrupt) comm::corrupt_payload(slot.payload, del.corrupt_h);
+      if (del.arrival == sim::SimTime::max()) {  // fenced at NIC
+        payload.from = -1;
+        continue;
+      }
+      if (del.corrupt) comm::corrupt_payload(payload, del.corrupt_h);
       slot.arrival = del.arrival;
       slot.duplicated = del.duplicate;
       slot.dup_arrival = del.dup_arrival;
@@ -2166,7 +2233,8 @@ class Executor {
     const auto& lg = dg().part(o);
     auto values = program_.reduce_master_dst(dev.state);
     // Gather senders in arrival order (deterministic tie-break by id).
-    std::vector<int> senders;
+    std::vector<int>& senders = dev.senders;
+    senders.clear();
     for (int d = 0; d < devices_; ++d) {
       if (d != o &&
           msgs[static_cast<std::size_t>(d) * devices_ + o].payload.from >= 0) {
@@ -2181,7 +2249,7 @@ class Executor {
     });
     sim::SimTime t = start;
     sim::SimTime recv_engine = start;  // apply engine (overlap mode)
-    std::vector<VertexId> changed;
+    std::vector<VertexId>& changed = dev.changed;
     for (int d : senders) {
       const auto& m = msgs[static_cast<std::size_t>(d) * devices_ + o];
       // Wire-protocol admission: stale-epoch or already-seen payloads
@@ -2255,10 +2323,13 @@ class Executor {
       // Broadcast flows master(d) -> mirrors(o): list indexed (o, d).
       const auto& list = sync().list(o, d, bcast_filter_);
       if (list.size() == 0) continue;
-      auto payload = BSync::extract_broadcast(list, values, dev.dirty_b,
-                                              config_.sync_mode, d, o);
+      Msg<BV>& slot = out[static_cast<std::size_t>(d) * devices_ + o];
+      comm::Payload<BV>& payload = slot.payload;
+      BSync::extract_broadcast(list, values, dev.dirty_b, config_.sync_mode,
+                               d, o, payload);
       if (config_.sync_mode == comm::SyncMode::kUO &&
           payload.empty_update()) {
+        payload.from = -1;  // nothing sent: the slot stays empty
         continue;
       }
       seal_payload(payload, d, o, fault::MsgKind::kBroadcast,
@@ -2270,10 +2341,11 @@ class Executor {
       const Delivery del =
           deliver_link(d, o, payload.bytes, sent, fault::MsgKind::kBroadcast,
                        stats_.global_rounds);
-      if (del.arrival == sim::SimTime::max()) continue;  // fenced at NIC
-      Msg<BV>& slot = out[static_cast<std::size_t>(d) * devices_ + o];
-      slot.payload = std::move(payload);
-      if (del.corrupt) comm::corrupt_payload(slot.payload, del.corrupt_h);
+      if (del.arrival == sim::SimTime::max()) {  // fenced at NIC
+        payload.from = -1;
+        continue;
+      }
+      if (del.corrupt) comm::corrupt_payload(payload, del.corrupt_h);
       slot.arrival = del.arrival;
       slot.duplicated = del.duplicate;
       slot.dup_arrival = del.dup_arrival;
@@ -2290,7 +2362,8 @@ class Executor {
     Dev& dev = devs_[o];
     const auto& lg = dg().part(o);
     auto values = program_.bcast_mirror_dst(dev.state);
-    std::vector<int> senders;
+    std::vector<int>& senders = dev.senders;
+    senders.clear();
     for (int d = 0; d < devices_; ++d) {
       if (d != o &&
           msgs[static_cast<std::size_t>(d) * devices_ + o].payload.from >= 0) {
@@ -2305,7 +2378,7 @@ class Executor {
     });
     sim::SimTime t = start;
     sim::SimTime recv_engine = start;  // apply engine (overlap mode)
-    std::vector<VertexId> changed;
+    std::vector<VertexId>& changed = dev.changed;
     for (int d : senders) {
       const auto& m = msgs[static_cast<std::size_t>(d) * devices_ + o];
       if (admit_payload(o, m.payload, fault::MsgKind::kBroadcast,
@@ -2368,8 +2441,8 @@ class Executor {
   /// Moves pending activations from the ctx into the frontier with
   /// cross-source deduplication.
   void merge_activations(Dev& dev) {
-    std::vector<VertexId> extra;
-    dev.ctx->take_next(extra);
+    std::vector<VertexId>& extra = dev.activations;
+    dev.ctx->take_next(extra);  // swaps buffers with the ctx
     for (VertexId v : extra) {
       if (!dev.in_frontier.test(v)) {
         dev.in_frontier.set(v);
@@ -2622,6 +2695,7 @@ class Executor {
 
     dev.flush_pending = false;  // regular sends cover the re-feed marks
     dev.clock += compute_one_round(d, dev.clock);
+    observe_kernel(d);
     ++dev.local_round;
     flight().record(obs::FlightKind::kRound, d,
                     static_cast<std::int64_t>(dev.local_round), 0, "basp",
@@ -2809,8 +2883,9 @@ class Executor {
       if (o == d || basp_silent(o, dev.clock)) continue;
       const auto& list = sync().list(d, o, reduce_filter_);
       if (list.size() == 0) continue;
-      auto payload = RSync::extract_reduce(list, rvalues, dev.dirty_r,
-                                           config_.sync_mode, d, o);
+      comm::Payload<RV> payload;
+      RSync::extract_reduce(list, rvalues, dev.dirty_r, config_.sync_mode, d,
+                            o, payload);
       if (payload.empty_update()) continue;
       deliver<RV>(d, o, std::move(payload), dev, engine, queue,
                   /*bcast=*/false);
@@ -2820,8 +2895,9 @@ class Executor {
       if (o == d || basp_silent(o, dev.clock)) continue;
       const auto& list = sync().list(o, d, bcast_filter_);
       if (list.size() == 0) continue;
-      auto payload = BSync::extract_broadcast(list, bvalues, dev.dirty_b,
-                                              config_.sync_mode, d, o);
+      comm::Payload<BV> payload;
+      BSync::extract_broadcast(list, bvalues, dev.dirty_b, config_.sync_mode,
+                               d, o, payload);
       if (payload.empty_update()) continue;
       deliver<BV>(d, o, std::move(payload), dev, engine, queue,
                   /*bcast=*/true);
@@ -3206,6 +3282,12 @@ class Executor {
   comm::ProxyFilter bcast_filter_;
 
   std::vector<Dev> devs_;
+  // BSP round scratch (see reserve_round_buffers): D² message slots
+  // indexed [from * D + to], and per-device phase clocks.
+  std::vector<Msg<RV>> rmsgs_;
+  std::vector<Msg<BV>> bmsgs_;
+  std::vector<sim::SimTime> ready_, after_recv_, after_bext_, done_;
+  std::vector<std::uint8_t> computed_;
   std::vector<BaspInbox> inboxes_;
   std::vector<sim::SimTime> park_start_;
   std::vector<comm::CommStats> comm_per_dev_;

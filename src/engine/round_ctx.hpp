@@ -24,7 +24,12 @@ namespace sg::engine {
 ///    broadcast to its mirrors.
 class RoundCtx {
  public:
-  explicit RoundCtx(graph::VertexId num_local) : in_next_(num_local) {}
+  /// Reserves the activation and work-size buffers for a full sweep of
+  /// the device's `num_local` vertices, so rounds reuse them.
+  explicit RoundCtx(graph::VertexId num_local) : in_next_(num_local) {
+    next_.reserve(num_local);
+    work_sizes_.reserve(num_local);
+  }
 
   void attach(comm::Bitset* dirty_reduce, comm::Bitset* dirty_bcast) {
     dirty_reduce_ = dirty_reduce;

@@ -129,7 +129,9 @@ class Tracer {
   /// Σ extract + pcie + apply on `track` (the device_comm_time share).
   [[nodiscard]] sim::SimTime comm_sum(int track) const;
 
-  [[nodiscard]] std::uint64_t recorded() const { return recorded_; }
+  /// Spans ever recorded: the sum of the per-track sequence counters,
+  /// each written only by the thread that owns its track.
+  [[nodiscard]] std::uint64_t recorded() const;
   [[nodiscard]] std::uint64_t dropped() const;
 
   void clear();
@@ -157,7 +159,6 @@ class Tracer {
 
   std::size_t cap_;
   std::vector<Track> tracks_;
-  std::uint64_t recorded_ = 0;
 };
 
 /// Null-sink handle threaded through RoundCtx (and usable anywhere a

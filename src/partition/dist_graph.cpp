@@ -6,7 +6,6 @@
 
 #include "partition/detail.hpp"
 #include "sim/rng.hpp"
-#include "sim/thread_pool.hpp"
 
 namespace sg::partition {
 
@@ -169,18 +168,16 @@ DistGraph partition_graph(const Csr& g, const PartitionOptions& options) {
     dev_masters[master_of[v]].push_back(v);
   }
 
-  // ---- 3. Build per-device local graphs (parallel over devices) --------
+  // ---- 3. Build per-device local graphs ---------------------------------
+  // In device order on the calling thread: built concurrently, every
+  // worker's malloc arena keeps its own share of the scratch, which
+  // raises peak RSS.
   dg.parts_.resize(devices);
   const bool weighted = g.has_weights();
-  sim::ThreadPool::global().parallel_for(
-      0, static_cast<std::size_t>(devices),
-      [&](std::size_t lo, std::size_t hi, std::size_t) {
-        for (std::size_t d = lo; d < hi; ++d) {
-          dg.parts_[d] = detail::build_local_graph(
-              static_cast<int>(d), dev_masters[d], dev_edges[d], out_deg,
-              in_deg, weighted);
-        }
-      });
+  for (int d = 0; d < devices; ++d) {
+    dg.parts_[d] = detail::build_local_graph(d, dev_masters[d], dev_edges[d],
+                                             out_deg, in_deg, weighted);
+  }
 
   // ---- 4. Stats ----------------------------------------------------------
   dg.stats_ = detail::compute_stats(dg.parts_, n, g.num_edges());

@@ -1,12 +1,12 @@
 #include "partition/streaming.hpp"
 
+#include <algorithm>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "partition/detail.hpp"
-#include "sim/thread_pool.hpp"
 
 namespace sg::partition {
 
@@ -158,16 +158,12 @@ DistGraph partition_stream(EdgeSource& source,
   std::vector<std::vector<VertexId>> dev_masters(devices);
   for (VertexId v = 0; v < n; ++v) dev_masters[master_of[v]].push_back(v);
 
+  // Built in device order, as in partition_graph (peak RSS).
   std::vector<LocalGraph> parts(devices);
-  sim::ThreadPool::global().parallel_for(
-      0, static_cast<std::size_t>(devices),
-      [&](std::size_t lo, std::size_t hi, std::size_t) {
-        for (std::size_t d = lo; d < hi; ++d) {
-          parts[d] = detail::build_local_graph(
-              static_cast<int>(d), dev_masters[d], dev_edges[d], out_deg,
-              in_deg, weighted);
-        }
-      });
+  for (int d = 0; d < devices; ++d) {
+    parts[d] = detail::build_local_graph(d, dev_masters[d], dev_edges[d],
+                                         out_deg, in_deg, weighted);
+  }
 
   PartitionStats stats = detail::compute_stats(parts, n, total_edges);
   return DistGraph::assemble(std::move(parts), std::move(master_of), n,

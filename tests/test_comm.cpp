@@ -233,7 +233,8 @@ TEST_F(FieldSyncTest, UoExtractShipsOnlyDirtyAndClearsBits) {
   Bitset dirty(16);
   dirty.set(11);
   dirty.set(13);
-  auto p = FS::extract_reduce(list_, vals, dirty, SyncMode::kUO, 0, 1);
+  Payload<std::uint32_t> p;
+  FS::extract_reduce(list_, vals, dirty, SyncMode::kUO, 0, 1, p);
   ASSERT_EQ(p.count(), 2u);
   EXPECT_EQ(p.positions, (std::vector<std::uint32_t>{1, 3}));
   EXPECT_EQ(p.values, (std::vector<std::uint32_t>{7, 9}));
@@ -245,7 +246,8 @@ TEST_F(FieldSyncTest, AsExtractShipsEverything) {
   std::vector<std::uint32_t> vals(16, 0);
   for (int i = 0; i < 4; ++i) vals[10 + i] = 50 + i;
   Bitset dirty(16);
-  auto p = FS::extract_reduce(list_, vals, dirty, SyncMode::kAS, 0, 1);
+  Payload<std::uint32_t> p;
+  FS::extract_reduce(list_, vals, dirty, SyncMode::kAS, 0, 1, p);
   ASSERT_EQ(p.count(), 4u);
   EXPECT_TRUE(p.positions.empty());
   EXPECT_EQ(p.values, (std::vector<std::uint32_t>{50, 51, 52, 53}));
@@ -275,8 +277,8 @@ TEST_F(FieldSyncTest, BroadcastRoundTripUpdatesMirrors) {
   Bitset dirty(8);
   dirty.set(1);
   dirty.set(3);
-  auto p = FieldSync<std::uint32_t, MinOp<std::uint32_t>>::extract_broadcast(
-      list_, master_vals, dirty, SyncMode::kUO, 1, 0);
+  Payload<std::uint32_t> p;
+  FS::extract_broadcast(list_, master_vals, dirty, SyncMode::kUO, 1, 0, p);
   ASSERT_EQ(p.count(), 2u);
   EXPECT_EQ(p.values, (std::vector<std::uint32_t>{6, 8}));
   // Broadcast-extract must not clear the master's dirty bits (other
@@ -299,7 +301,8 @@ TEST_F(FieldSyncTest, AccumulatorResetsAfterExtract) {
   Bitset dirty(16);
   dirty.set(10);
   dirty.set(12);
-  auto p = AddFS::extract_reduce(list_, vals, dirty, SyncMode::kUO, 0, 1);
+  Payload<float> p;
+  AddFS::extract_reduce(list_, vals, dirty, SyncMode::kUO, 0, 1, p);
   EXPECT_EQ(p.count(), 2u);
   EXPECT_FLOAT_EQ(vals[10], 0.0f);  // reset so it is not re-sent
   EXPECT_FLOAT_EQ(vals[12], 0.0f);
@@ -317,8 +320,9 @@ TEST_F(FieldSyncTest, UoAndAsConvergeToSameMasterValues) {
   Bitset dirty_a(16), dirty_b(16);
   dirty_a.set(10);
   dirty_a.set(12);  // only some marked in UO
-  auto pa = FS::extract_reduce(list_, mirrors_a, dirty_a, SyncMode::kUO, 0, 1);
-  auto pb = FS::extract_reduce(list_, mirrors_b, dirty_b, SyncMode::kAS, 0, 1);
+  Payload<std::uint32_t> pa, pb;
+  FS::extract_reduce(list_, mirrors_a, dirty_a, SyncMode::kUO, 0, 1, pa);
+  FS::extract_reduce(list_, mirrors_b, dirty_b, SyncMode::kAS, 0, 1, pb);
 
   std::vector<std::uint32_t> masters_a(8, 1000), masters_b(8, 1000);
   Bitset bda(8), bdb(8);
@@ -330,6 +334,27 @@ TEST_F(FieldSyncTest, UoAndAsConvergeToSameMasterValues) {
   EXPECT_EQ(masters_a[2], masters_b[2]);
   // UO is strictly smaller on the wire here.
   EXPECT_LT(pa.bytes, pb.bytes);
+}
+
+TEST_F(FieldSyncTest, ReusedPayloadIsResetAndKeepsCapacity) {
+  std::vector<std::uint32_t> vals(16, 100);
+  Bitset dirty(16);
+  for (VertexId v = 10; v < 14; ++v) dirty.set(v);
+  Payload<std::uint32_t> p;
+  FS::extract_reduce(list_, vals, dirty, SyncMode::kUO, 0, 1, p);
+  ASSERT_EQ(p.count(), 4u);
+  p.header.checksum = 42;  // a sealed header from the previous round
+  const std::uint32_t* buffer = p.values.data();
+
+  dirty.set(12);
+  FS::extract_reduce(list_, vals, dirty, SyncMode::kUO, 2, 3, p);
+  EXPECT_EQ(p.from, 2);
+  EXPECT_EQ(p.to, 3);
+  EXPECT_EQ(p.positions, (std::vector<std::uint32_t>{2}));
+  EXPECT_EQ(p.values, (std::vector<std::uint32_t>{100}));
+  EXPECT_EQ(p.header.checksum, 0u);
+  EXPECT_EQ(p.bytes, wire_bytes(4, 1, sizeof(std::uint32_t), SyncMode::kUO));
+  EXPECT_EQ(p.values.data(), buffer);  // reset, not reallocated
 }
 
 // ---- wire protocol: checksums, sealing, deterministic corruption ------------

@@ -4,7 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <latch>
 #include <set>
+#include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "sim/cost_params.hpp"
@@ -173,6 +177,118 @@ TEST(ThreadPoolT, RepeatedInvocationsWork) {
     });
   }
   EXPECT_EQ(sum.load(), 50ull * (99 * 100 / 2));
+}
+
+TEST(ThreadPoolT, FourItemsRunConcurrentlyOnFourThreads) {
+  // Every item waits for all four to arrive: this completes only if the
+  // four items really run at the same time. The deadline turns a hang
+  // (items run one after another) into a failure.
+  ThreadPool pool(4);
+  std::latch all_in(4);
+  std::atomic<bool> timed_out{false};
+  std::atomic<int> items{0};
+  pool.parallel_for(0, 4, [&](std::size_t lo, std::size_t hi, std::size_t) {
+    for (std::size_t i = lo; i < hi; ++i) {
+      items++;
+      all_in.count_down();
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(10);
+      while (!all_in.try_wait() && !timed_out) {
+        if (std::chrono::steady_clock::now() > deadline) timed_out = true;
+        std::this_thread::yield();
+      }
+    }
+  });
+  EXPECT_EQ(items.load(), 4);
+  EXPECT_FALSE(timed_out.load()) << "items did not run concurrently";
+}
+
+TEST(ThreadPoolT, EachIndexRunsOnceWhenRangeIsBelowThreadCount) {
+  ThreadPool pool(8);
+  for (std::size_t n = 1; n < 8; ++n) {
+    std::vector<std::atomic<int>> hits(n);
+    std::vector<std::atomic<int>> chunk_used(8);
+    pool.parallel_for(0, n, [&](std::size_t lo, std::size_t hi,
+                                std::size_t chunk) {
+      EXPECT_EQ(hi - lo, 1u);  // one item per chunk
+      chunk_used[chunk]++;
+      for (std::size_t i = lo; i < hi; ++i) hits[i]++;
+    });
+    for (auto& h : hits) EXPECT_EQ(h.load(), 1) << "n=" << n;
+    for (std::size_t c = 0; c < 8; ++c) {
+      EXPECT_EQ(chunk_used[c].load(), c < n ? 1 : 0) << "n=" << n;
+    }
+  }
+}
+
+TEST(ThreadPoolT, FirstExceptionIsRethrownAfterEveryChunkFinishes) {
+  ThreadPool pool(4);
+  for (const std::size_t thrower : {std::size_t{0}, std::size_t{2}}) {
+    std::atomic<int> finished{0};
+    EXPECT_THROW(
+        pool.parallel_for(0, 4,
+                          [&](std::size_t lo, std::size_t, std::size_t) {
+                            if (lo == thrower) {
+                              throw std::runtime_error("chunk failed");
+                            }
+                            std::this_thread::sleep_for(
+                                std::chrono::milliseconds(20));
+                            finished++;
+                          }),
+        std::runtime_error);
+    // The rethrow waited for the chunks still running.
+    EXPECT_EQ(finished.load(), 3) << "thrower=" << thrower;
+  }
+  // The pool stays usable after a failed fork-join.
+  std::atomic<int> items{0};
+  pool.parallel_for(0, 4, [&](std::size_t lo, std::size_t hi, std::size_t) {
+    items += static_cast<int>(hi - lo);
+  });
+  EXPECT_EQ(items.load(), 4);
+}
+
+TEST(ThreadPoolT, NestedCallRunsInline) {
+  ThreadPool pool(4);
+  std::atomic<int> items{0};
+  pool.parallel_for(0, 4, [&](std::size_t, std::size_t, std::size_t) {
+    pool.parallel_for(0, 10, [&](std::size_t lo, std::size_t hi,
+                                 std::size_t chunk) {
+      EXPECT_EQ(chunk, 0u);
+      items += static_cast<int>(hi - lo);
+    });
+  });
+  EXPECT_EQ(items.load(), 40);
+}
+
+TEST(ThreadPoolT, TenThousandTinyForkJoinsComplete) {
+  ThreadPool pool(4);
+  std::atomic<std::uint64_t> items{0};
+  for (int i = 0; i < 10000; ++i) {
+    pool.parallel_for(0, 4, [&](std::size_t lo, std::size_t hi,
+                                std::size_t) { items += hi - lo; });
+  }
+  EXPECT_EQ(items.load(), 40000u);
+}
+
+TEST(ThreadPoolT, DestructorJoinsSpinningAndParkedWorkers) {
+  std::atomic<int> items{0};
+  const auto job = [&](std::size_t lo, std::size_t hi, std::size_t) {
+    items += static_cast<int>(hi - lo);
+  };
+  {
+    ThreadPool pool(4);  // never used: workers still spinning at exit
+  }
+  {
+    ThreadPool pool(4);
+    pool.parallel_for(0, 4, job);  // destroyed right after a fork-join
+  }
+  {
+    ThreadPool pool(4);
+    pool.parallel_for(0, 4, job);
+    // Far past the spin bound: every worker is parked in atomic::wait.
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  }
+  EXPECT_EQ(items.load(), 8);
 }
 
 // ---- Topology ------------------------------------------------------------------

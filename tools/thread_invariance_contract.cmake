@@ -1,0 +1,54 @@
+# ctest script: simulated results do not depend on the host thread count.
+#
+# The BSP phases run one simulated device per pool thread, so a data
+# race or an order-dependent reduction in them would show up as a
+# difference between a single-threaded and a four-threaded run. Runs
+# the traced table2 smoke sweep and the sg_serve replay (BSP and BASP)
+# under SG_THREADS=1 and SG_THREADS=4 and requires byte-identical
+# reports and traces.
+#
+# Invoked as:
+#   cmake -DTABLE2=<table2_singlehost> -DSERVE=<sg_serve> -DWORK=<dir>
+#         -P this_file
+
+if(NOT DEFINED TABLE2 OR NOT DEFINED SERVE OR NOT DEFINED WORK)
+  message(FATAL_ERROR "TABLE2, SERVE and WORK must be defined")
+endif()
+
+file(REMOVE_RECURSE "${WORK}")
+
+# Runs one tool invocation (ARGN) with SG_THREADS=<threads> in that
+# thread count's directory; any non-zero exit fails the contract.
+function(run_with_threads threads)
+  execute_process(
+    COMMAND ${CMAKE_COMMAND} -E env SG_THREADS=${threads} ${ARGN}
+    WORKING_DIRECTORY "${WORK}/t${threads}"
+    RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+  if(NOT rc EQUAL 0)
+    message(FATAL_ERROR
+      "SG_THREADS=${threads} ${ARGN}: exit ${rc}\n${out}${err}")
+  endif()
+endfunction()
+
+foreach(threads 1 4)
+  set(dir "${WORK}/t${threads}")
+  file(MAKE_DIRECTORY "${dir}")
+  run_with_threads(${threads} "${TABLE2}" --smoke
+                   --report "${dir}/table2.json" --trace "${dir}/trace.json")
+  run_with_threads(${threads} "${SERVE}" --report "${dir}/serve.json")
+  run_with_threads(${threads} "${SERVE}" --async
+                   --report "${dir}/serve_async.json")
+endforeach()
+
+foreach(file table2.json trace.json serve.json serve_async.json)
+  execute_process(
+    COMMAND ${CMAKE_COMMAND} -E compare_files
+            "${WORK}/t1/${file}" "${WORK}/t4/${file}"
+    RESULT_VARIABLE differ)
+  if(NOT differ EQUAL 0)
+    message(FATAL_ERROR
+      "${file} differs between SG_THREADS=1 and SG_THREADS=4")
+  endif()
+endforeach()
+
+message(STATUS "thread-count invariance: all reports and traces identical")
