@@ -1,112 +1,88 @@
-// sg_chaos: chaos soak harness for the Byzantine-network tolerance
-// stack. Generates seeded random fault plans (message drops, payload
-// corruption, duplication, reordering, stragglers, network partitions)
-// over a scenario matrix (benchmark x partition policy x BSP/BASP x
-// device count), runs each against a fault-free oracle of the same
-// scenario, and on any divergence greedily shrinks the plan to a
-// minimal reproducer serialized as replayable JSON. Every reproducer
-// gets a black-box companion `<stem>_flight.json` — the engine's flight
-// recorder (round transitions, fault injections, wire anomalies, audit
-// verdicts, evictions) dumped at failure time; read it with
-// `sg_explain --flight`.
+// sg_chaos: chaos soak harness for the fault-tolerance stacks.
 //
-// With --gray the harness soaks the gray-failure stack instead:
-// plans contain only degradation faults (device compute slowdown,
-// link bandwidth/latency derating, memory pressure) and every
-// scenario runs THREE times — (a) fault-free oracle, (b) observe-only
-// (monitor watches, never acts), (c) mitigated (online shard
-// migration). The oracle contract is then twofold: (c) must match (a)
-// exactly (per-benchmark rules below), and when the degradation
-// meaningfully inflated the observe-only makespan, mitigation must
-// recover at least a per-kind margin of the inflation:
-//   recovery = (b - c) / (b - a)  >=  margin
-// (0.15 for device-degrade / memory-pressure, 0.0 for link-degrade,
-// where migration has no slow device to move work off and must merely
-// not regress). Failing gray plans shrink to reproducers like any
-// other, tagged "gray": true so --replay re-runs the full triple.
+// One driver runs five soak modes. For every scenario of the mode's
+// matrix (benchmark x partition policy x BSP/BASP x device count) it
+// prepares the mode's fault-free reference, draws seeded random fault
+// plans, and runs each plan as one *case*: the mode's pair or triple of
+// runs plus its check. A failing case is greedily shrunk to a minimal
+// plan that still fails the same way, serialized as replayable JSON
+// (`chaos_repro_[<tag>_]<scenario>_seed<N>.json`), and paired with a
+// black-box `<stem>_flight.json` — the engine's flight recorder (round
+// transitions, fault injections, wire anomalies, audit verdicts,
+// evictions) dumped at failure time; read it with `sg_explain --flight`.
+// `--replay` reads the mode from the reproducer's tag and re-runs the
+// same case. An exception thrown by a run is a `run-error` outcome in
+// soak, shrink and replay alike.
 //
-// With --sdc the harness soaks the silent-data-corruption stack:
-// plans contain only SDC faults (resident-state label bit flips aimed
-// at replicated mirror copies picked from the partition's own exchange
-// lists, defective-ALU kernel windows, checkpoint-blob corruption) and
-// every scenario runs THREE times — (a) fault-free oracle, (b) an
-// *unaudited twin* (same SDC plan, auditor off — shows whether the
-// corruption actually changed the answer), (c) audited with
-// AuditMode::kRepair. The oracle contract is zero undetected wrong
-// answers: (c) must match (a) exactly (per-benchmark rules below), and
-// whenever (b) diverged from (a) the audited run must have detected at
-// least one violation — corruption may be value-neutral (a flip healed
-// by the next broadcast), but it must never be value-changing AND
-// unseen. Sync label-flip scenarios additionally assert the detection
-// lag: worst per-device lag <= 2x the audit interval, in audited
-// boundaries. Failing plans shrink to reproducers tagged "sdc": true
-// so --replay re-runs the full triple.
+// Modes (reproducer tag; the runs of one case; what is checked):
 //
-// With --serve the harness soaks the serving layer's batched kernel
-// instead: each scenario fuses 64 BFS sources into one msbfs run (the
-// src/serve/ batch width) and asserts every lane bit-exact against 64
-// independent single-source BfsProgram oracles — first fault-free,
-// then under a seeded device-loss plan (msbfs is idempotent and
-// re-homable, so loss recovery must be exact per lane). Failing plans
-// shrink to reproducers tagged "serve": true.
+//   (default, untagged) wire-protocol soak. Faults: message drops,
+//   payload corruption, duplication, reordering, stragglers, network
+//   partitions. Pair: fault-free oracle vs the faulted run, held to the
+//   oracle contract below. --inject-defect turns the wire protocol off
+//   (EngineConfig::wire_protocol=false) so anomalies hit the reducers
+//   unprotected and the soak MUST fail.
 //
-// With --serve-overload the harness soaks the full serving scheduler
-// under compound stress: a 4x-overload multi-tenant trace replayed
-// through serve::BatchScheduler with the robustness layer armed
-// (brownout + elastic resharding + fault-tolerant lifecycle) while a
-// seeded plan injects device losses and gray degradations into the
-// fused engine runs. Per scenario the oracle contract is:
-//   1. zero silently-dropped queries — every submitted query is
-//      exactly one of served or rejected-with-reason;
-//   2. every non-degraded served answer bit-exact against sequential
-//      reference oracles;
-//   3. every degraded answer tagged degraded:true AND a sound finite
-//      upper bound on the true distance;
-//   4. the resilient run serves at least a floor fraction of admitted
-//      queries (the check --inject-defect proves has teeth);
-//   5. the top-priority deadline-hit ratio is no worse than a
-//      brownout-off twin replaying the same trace under the same plan.
-// Failing plans shrink to reproducers tagged "overload": true with
-// flight black boxes, replayable like any other. --inject-defect
-// arms a lifecycle defect (every engine attempt fails, zero retries)
-// so the soak MUST fail check 4 — the harness's self-test.
+//   --gray ("gray"). Faults: degradation only (device compute slowdown,
+//   link bandwidth/latency derating, memory pressure). Triple: (a)
+//   oracle, (b) observe-only (the monitor watches, never acts), (c)
+//   mitigated (online shard migration). (b) and (c) are held to the
+//   oracle contract, and when the degradation meaningfully inflated the
+//   observe-only makespan, mitigation must recover a margin of it:
+//     recovery = (b - c) / (b - a)  >=  margin
+//   (see margin_for). --recovery-margin X overrides the margin; 0.99 is
+//   unattainable and is this mode's self-test.
+//
+//   --sdc ("sdc"). Faults: label bit flips aimed at replicated mirror
+//   copies taken from the partition's own exchange lists, defective-ALU
+//   kernel windows, checkpoint-blob corruption. Triple: (a) oracle, (b)
+//   unaudited twin (shows whether the corruption changed the answer),
+//   (c) audited with AuditMode::kRepair. Zero undetected wrong answers
+//   (see sdc_check). --inject-defect turns the auditor off
+//   (AuditMode::kOff) so the corrupted run ships its wrong answer.
+//
+//   --serve ("serve"). Faults: device loss. Pair: 64 unbatched
+//   single-source BfsProgram oracles (fault-free) vs one fused msbfs run
+//   of the same 64 sources (the src/serve/ batch width) under the plan.
+//   Every lane must be bit-exact: msbfs is idempotent and re-homable,
+//   so loss recovery is exact per lane.
+//
+//   --serve-overload ("overload"). Faults: device loss and gray
+//   degradation in the fused engine runs of a 4x-overload multi-tenant
+//   trace replayed through serve::BatchScheduler with brownout, elastic
+//   resharding and the fault-tolerant lifecycle armed. Pair: that
+//   resilient scheduler vs a brownout-off twin on the same trace and
+//   plan. Checks: (1) no query silently dropped — each is served or
+//   rejected with a reason; (2) every non-degraded answer bit-exact
+//   against sequential reference oracles; (3) every degraded answer
+//   tagged and a sound finite upper bound on the true distance; (4) at
+//   least kOverloadServeFloor of admitted queries served; (5) the
+//   priority-0 deadline-hit ratio no worse than the twin's.
+//   --inject-defect arms a lifecycle defect (every engine attempt
+//   fails, zero retries) so check 4 MUST trip.
 //
 // Usage:
-//   sg_chaos [--smoke] [--gray] [--sdc] [--serve] [--serve-overload]
-//            [--chaos-seed N]
-//            [--seeds N] [--no-shrink] [--inject-defect] [--keep-going]
-//            [--recovery-margin X] [--out-dir DIR]
+//   sg_chaos [--smoke] [--gray | --sdc | --serve | --serve-overload]
+//            [--chaos-seed N] [--seeds N] [--no-shrink] [--keep-going]
+//            [--inject-defect] [--recovery-margin X] [--out-dir DIR]
 //   sg_chaos --replay FILE
 //
 //   --smoke          reduced scenario matrix, one plan per scenario
-//   --gray           gray-failure soak (degradation faults + SLO oracle)
-//   --sdc            silent-data-corruption soak (bit flips + auditor)
-//   --serve          serving-layer soak (batched msbfs vs unbatched
-//                    oracles under device loss)
-//   --serve-overload full-scheduler overload soak (brownout + reshard
-//                    + lifecycle vs unbatched oracles under loss and
-//                    gray degradation at 4x overload)
-//   --recovery-margin X
-//                    override the per-kind recovery margin (gray mode)
 //   --chaos-seed N   base seed for plan generation (default 1)
 //   --seeds N        plans per scenario (default 1 smoke, 2 full)
-//   --chaos-shrink / --no-shrink
-//                    shrink failing plans to minimal reproducers
-//                    (default on)
-//   --inject-defect  disable the defence under test: without --sdc,
-//                    the wire protocol (EngineConfig::wire_protocol=
-//                    false) so anomalies hit the reducers unprotected;
-//                    with --sdc, the auditor (AuditMode::kOff) so the
-//                    corrupted run ships its wrong answer. Either way
-//                    the soak MUST fail and emit a shrunk reproducer —
-//                    the harness's self-test
+//   --no-shrink      write failing plans unshrunk
 //   --keep-going     do not stop at the first failing scenario
+//   --inject-defect  disable the defence under test (default, --sdc and
+//                    --serve-overload only): the soak MUST fail and emit
+//                    a shrunk reproducer — the harness's self-test
+//   --recovery-margin X
+//                    override the per-kind recovery margin (--gray only)
 //   --out-dir DIR    where reproducer JSON files are written (default .)
 //   --replay FILE    re-run a reproducer written by a previous soak
 //
 // Exit codes: 0 = all scenarios matched their oracle (or a replay did
 // not reproduce), 1 = at least one failure (reproducer written) or a
-// replay reproduced its failure, 2 = usage or harness error.
+// replay reproduced its failure, 2 = usage, reproducer or harness error.
 //
 // Oracle contract: bfs/cc/sssp/kcore results must be bit-identical to
 // the fault-free run, including through partition-triggered evictions
@@ -118,15 +94,21 @@
 // teleport base, total mass in the oracle's ballpark). BASP runs must
 // additionally report clean Safra termination.
 #include <algorithm>
+#include <charconv>
 #include <cmath>
+#include <cstdarg>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <map>
+#include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "algo/bfs.hpp"
@@ -194,21 +176,33 @@ std::string label_of(const Scenario& s) {
          engine::to_string(s.model) + "/" + std::to_string(s.devices);
 }
 
+int num_hosts(const Scenario& s) {
+  return sim::Topology::bridges(s.devices, kMemScale).num_hosts();
+}
+
 struct Options {
   bool smoke = false;
-  bool gray = false;
-  bool sdc = false;
-  bool serve = false;
-  bool serve_overload = false;
+  std::string mode;  ///< reproducer tag of the selected mode; "" = wire
   std::uint64_t seed = 1;
   int seeds_per_scenario = -1;  // -1: 1 for smoke, 2 for full
   bool shrink = true;
   bool inject_defect = false;
   bool keep_going = false;
-  double recovery_margin = -1.0;  // <0: per-kind default
+  std::optional<double> recovery_margin;  // <0: per-kind default
   std::string out_dir = ".";
   std::string replay;
 };
+
+unsigned long long ull(std::uint64_t v) { return v; }
+
+[[gnu::format(printf, 1, 2)]] std::string strf(const char* fmt, ...) {
+  char buf[512];
+  va_list ap;
+  va_start(ap, fmt);
+  std::vsnprintf(buf, sizeof buf, fmt, ap);
+  va_end(ap);
+  return buf;
+}
 
 const graph::Csr& chaos_graph() {
   static const graph::Csr g = [] {
@@ -225,18 +219,52 @@ const graph::Csr& chaos_graph() {
   return g;
 }
 
-const fw::Prepared& prepared_for(partition::Policy policy, int devices) {
-  static std::map<std::string, fw::Prepared> cache;
-  const std::string key =
-      std::string(partition::to_string(policy)) + "/" +
-      std::to_string(devices);
+/// The scheduler soak's own graph: symmetric (so the brownout landmark
+/// triangle bound is sound) with community structure and randomized
+/// sssp weights — the chaos_graph() is asymmetric and unusable there.
+const graph::Csr& overload_graph() {
+  static const graph::Csr g = [] {
+    graph::SyntheticSpec s;
+    s.vertices = 1024;
+    s.edges = 8000;
+    s.zipf_out = 0.6;
+    s.zipf_in = 0.6;
+    s.communities = 4;
+    s.symmetric = true;
+    s.seed = 13;
+    return graph::add_symmetric_weights(graph::synthetic(s), 1, 64, 13);
+  }();
+  return g;
+}
+
+const fw::Prepared& prepared(const graph::Csr& g, partition::Policy policy,
+                             int devices) {
+  static std::map<std::tuple<const graph::Csr*, partition::Policy, int>,
+                  fw::Prepared>
+      cache;
+  const auto key = std::make_tuple(&g, policy, devices);
   auto it = cache.find(key);
   if (it == cache.end()) {
-    it = cache.emplace(key, fw::prepare(chaos_graph(), policy, devices))
-             .first;
+    it = cache.emplace(key, fw::prepare(g, policy, devices)).first;
   }
   return it->second;
 }
+
+/// What every run of a scenario over `g` starts from: the partition,
+/// the simulated fleet and cost model, and the exec model's engine
+/// variant (BSP = var3, BASP = var4).
+struct Setup {
+  const fw::Prepared& prep;
+  sim::Topology topo;
+  sim::CostParams params = sim::CostParams::for_scaled_datasets();
+  engine::EngineConfig cfg;
+  Setup(const graph::Csr& g, const Scenario& s)
+      : prep(prepared(g, s.policy, s.devices)),
+        topo(sim::Topology::bridges(s.devices, kMemScale)),
+        cfg(engine::make_variant(s.model == engine::ExecModel::kSync
+                                     ? engine::Variant::kVar3
+                                     : engine::Variant::kVar4)) {}
+};
 
 /// Gray-run knobs: the soak tunes the monitor to the scenario scale
 /// the way an operator would — the default 100us heartbeat cadence is
@@ -249,45 +277,49 @@ struct GrayTuning {
   sim::SimTime heartbeat;  ///< derived from the oracle makespan
 };
 
+/// One benchmark run over the chaos graph. An exception becomes a
+/// failed run (ok = false) so every caller judges it as a run-error.
 fw::BenchmarkRun run_scenario(const Scenario& s,
                               const fault::FaultPlan* plan,
                               bool wire_protocol,
                               const GrayTuning* gray = nullptr,
                               const integrity::AuditPolicy* audit = nullptr) {
-  const fw::Prepared& prep = prepared_for(s.policy, s.devices);
-  const sim::Topology topo = sim::Topology::bridges(s.devices, kMemScale);
-  const sim::CostParams params = sim::CostParams::for_scaled_datasets();
-  engine::EngineConfig cfg = engine::make_variant(
-      s.model == engine::ExecModel::kSync ? engine::Variant::kVar3
-                                          : engine::Variant::kVar4);
-  cfg.wire_protocol = wire_protocol;
-  cfg.fault_plan = plan;
-  if (gray != nullptr) {
-    cfg.mitigation.mode = gray->mode;
-    // Micro-benchmarks finish in a handful of rounds, so a window only
-    // spans a few evaluations. Two consecutive crossings is the sweet
-    // spot: a transient blip's EWMA decays below the threshold before
-    // the second evaluation (so we never pay migration churn for a
-    // fault that is already over), while a genuine sustained degrade
-    // stretches its own rounds enough to be seen twice.
-    cfg.mitigation.sustain_rounds = 2;
-    // With ~50 beats per run a degrade window may contain only one or
-    // two stretched beats, and a stretched round can swallow the whole
-    // window between two barriers — the estimate must converge (and
-    // decay) within a beat or two for the barrier inside the window to
-    // see an actionable score.
-    cfg.mitigation.stretch_alpha = 0.4;
-    cfg.health.heartbeat_interval = gray->heartbeat;
+  try {
+    Setup e(chaos_graph(), s);
+    e.cfg.wire_protocol = wire_protocol;
+    e.cfg.fault_plan = plan;
+    if (gray != nullptr) {
+      e.cfg.mitigation.mode = gray->mode;
+      // Micro-benchmarks finish in a handful of rounds, so a window
+      // only spans a few evaluations. Two consecutive crossings is the
+      // sweet spot: a transient blip's EWMA decays below the threshold
+      // before the second evaluation (so we never pay migration churn
+      // for a fault that is already over), while a genuine sustained
+      // degrade stretches its own rounds enough to be seen twice.
+      e.cfg.mitigation.sustain_rounds = 2;
+      // With ~50 beats per run a degrade window may contain only one or
+      // two stretched beats, and a stretched round can swallow the
+      // whole window between two barriers — the estimate must converge
+      // (and decay) within a beat or two for the barrier inside the
+      // window to see an actionable score.
+      e.cfg.mitigation.stretch_alpha = 0.4;
+      e.cfg.health.heartbeat_interval = gray->heartbeat;
+    }
+    if (audit != nullptr) {
+      e.cfg.audit = *audit;
+    }
+    // Accumulator programs need checkpoints for exact recovery should a
+    // partition outlast detection and evict its minority side.
+    if (s.bench == fw::Benchmark::kPagerank) {
+      e.cfg.checkpoint.interval_rounds = 1;
+    }
+    return fw::DIrGL::run(s.bench, e.prep, e.topo, e.params, e.cfg);
+  } catch (const std::exception& ex) {
+    fw::BenchmarkRun r;
+    r.ok = false;
+    r.error = std::string("exception: ") + ex.what();
+    return r;
   }
-  if (audit != nullptr) {
-    cfg.audit = *audit;
-  }
-  // Accumulator programs need checkpoints for exact recovery should a
-  // partition outlast detection and evict its minority side.
-  if (s.bench == fw::Benchmark::kPagerank) {
-    cfg.checkpoint.interval_rounds = 1;
-  }
-  return fw::DIrGL::run(s.bench, prep, topo, params, cfg);
 }
 
 struct Outcome {
@@ -397,76 +429,6 @@ std::string sanitize(std::string s) {
   return s;
 }
 
-struct GrayRepro {
-  double margin = 0.0;  ///< recovery margin the failing triple was held to
-};
-
-struct SdcRepro {
-  integrity::AuditMode mode = integrity::AuditMode::kRepair;
-  int interval = 1;  ///< audit interval the failing triple ran with
-};
-
-/// What a failing --serve-overload case needs to replay exactly: the
-/// workload trace is regenerated from (workload_seed, factor), and
-/// `defect` re-arms the lifecycle self-test defect.
-struct OverloadRepro {
-  std::uint64_t workload_seed = 42;
-  double factor = 4.0;
-  bool defect = false;
-};
-
-void write_reproducer(const std::filesystem::path& path, const Scenario& s,
-                      bool wire_protocol, const fault::FaultPlan& plan,
-                      const Outcome& o, const fault::ShrinkStats* shrink,
-                      const GrayRepro* gray = nullptr,
-                      const SdcRepro* sdc = nullptr, bool serve = false,
-                      const OverloadRepro* overload = nullptr) {
-  obs::JsonWriter w;
-  w.begin_object();
-  w.kv("sg_chaos_schema", 1);
-  w.key("scenario").begin_object();
-  w.kv("benchmark", fw::to_string(s.bench));
-  w.kv("policy", partition::to_string(s.policy));
-  w.kv("exec_model", engine::to_string(s.model));
-  w.kv("devices", s.devices);
-  w.kv("wire_protocol", wire_protocol);
-  w.end_object();
-  if (gray != nullptr) {
-    w.kv("gray", true);
-    w.kv("recovery_margin", gray->margin);
-  }
-  if (sdc != nullptr) {
-    w.kv("sdc", true);
-    w.kv("audit_mode", integrity::to_string(sdc->mode));
-    w.kv("audit_interval", sdc->interval);
-  }
-  if (serve) {
-    w.kv("serve", true);
-  }
-  if (overload != nullptr) {
-    w.kv("overload", true);
-    w.kv("workload_seed", overload->workload_seed);
-    w.kv("overload_factor", overload->factor);
-    w.kv("defect", overload->defect);
-  }
-  w.kv("failure", o.kind);
-  w.kv("detail", o.detail);
-  w.key("plan");
-  fault::write_plan_json(w, plan);
-  if (shrink != nullptr) {
-    w.key("shrink").begin_object();
-    w.kv("probes", shrink->probes);
-    w.kv("removed_events", shrink->removed_events);
-    w.kv("narrowed_windows", shrink->narrowed_windows);
-    w.end_object();
-  }
-  w.end_object();
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  const std::string doc = w.take();
-  out.write(doc.data(), static_cast<std::streamsize>(doc.size()));
-  out.put('\n');
-}
-
 /// Black-box companion of a reproducer: dumps the process-wide flight
 /// recorder (which the failing runs just fed) next to `repro_path` as
 /// `<stem>_flight.json`, then clears the ring so the next scenario's
@@ -487,29 +449,148 @@ std::string dump_flight(const std::filesystem::path& repro_path) {
   return dump.string();
 }
 
-std::vector<Scenario> scenario_matrix(bool smoke) {
+/// A ChaosSpec over the scenario's fleet with message anomalies,
+/// partitions and stragglers off and 1-2 events; the modes that use it
+/// switch on their own fault kinds.
+fault::ChaosSpec quiet_spec(const Scenario& s, sim::SimTime horizon) {
+  fault::ChaosSpec spec;
+  spec.num_devices = s.devices;
+  spec.num_hosts = num_hosts(s);
+  spec.horizon = horizon;
+  spec.allow_drop = false;
+  spec.allow_corrupt = false;
+  spec.allow_duplicate = false;
+  spec.allow_reorder = false;
+  spec.allow_partition = false;
+  spec.allow_straggler = false;
+  spec.min_events = 1;
+  spec.max_events = 2;
+  return spec;
+}
+
+// ---- reproducer fields --------------------------------------------------
+
+/// scenario.<key>, which must be a string.
+const std::string& string_field(const obs::JsonValue& sc, const char* key) {
+  const obs::JsonValue* v = sc.find(key);
+  if (v == nullptr || v->kind != obs::JsonValue::Kind::kString) {
+    throw std::runtime_error(std::string("scenario.") + key +
+                             " is missing or not a string");
+  }
+  return v->string;
+}
+
+/// `v` as an integer within [lo, hi]; throws naming `key` when it is
+/// absent, not a number, fractional or out of range.
+double integer_field(const obs::JsonValue* v, const std::string& key,
+                     double lo, double hi) {
+  if (v == nullptr || v->kind != obs::JsonValue::Kind::kNumber ||
+      v->number != std::floor(v->number) || v->number < lo ||
+      v->number > hi) {
+    throw std::runtime_error(key + " is missing or not an integer in [" +
+                             obs::format_double(lo) + ", " +
+                             obs::format_double(hi) + "]");
+  }
+  return v->number;
+}
+
+bool is_true(const obs::JsonValue& doc, const char* key) {
+  const obs::JsonValue* v = doc.find(key);
+  return v != nullptr && v->kind == obs::JsonValue::Kind::kBool && v->boolean;
+}
+
+// ---- the mode interface and the driver -----------------------------------
+
+/// What tells the five modes apart besides their code.
+struct ModeInfo {
+  const char* tag;           ///< reproducer tag and file prefix; "" = wire
+  const char* flag;          ///< selecting flag without "--"; "" = wire
+  const char* noun;          ///< summary count: run(s), triple(s), case(s)
+  const char* label_prefix;  ///< prefix of the [ok]/[FAIL] scenario label
+  const char* replay_note;   ///< appended to the replay banner
+  const char* pass_note;     ///< replay verdict when the case passes
+  bool all_benches;          ///< matrix: bfs/cc/pagerank, or bfs only
+  bool vary_devices;         ///< matrix: 4 and 8 devices (full), or 4
+  bool takes_defect;         ///< accepts --inject-defect
+  bool takes_margin;         ///< accepts --recovery-margin
+};
+
+/// One soak mode. The driver (soak(), replay()) owns the loop, shrink,
+/// reproducer and exit code; a mode holds the current scenario's
+/// fault-free reference and the current case's extras.
+class Mode {
+ public:
+  Mode(ModeInfo i, const Options& opt) : info(i), opt_(opt) {}
+  virtual ~Mode() = default;
+  Mode(const Mode&) = delete;
+  Mode& operator=(const Mode&) = delete;
+
+  /// Middle of the soak banner, e.g. "wire protocol ON, ".
+  [[nodiscard]] virtual std::string banner() const { return {}; }
+  /// Runs scenario `s`'s fault-free reference; false (after saying why
+  /// on stderr) is a harness error, exit 2.
+  virtual bool prepare() = 0;
+  /// Plan number `k` of the scenario, drawn from `seed`; also sets the
+  /// case's extras (margin, audit policy, workload).
+  virtual fault::FaultPlan make_plan(std::uint64_t seed, int k) = 0;
+  /// The case's runs under `plan` and the mode's check. `stats` gets the
+  /// counters of the [ok] line when the runs completed.
+  virtual Outcome run_case(const fault::FaultPlan& plan,
+                           std::string& stats) = 0;
+  /// Reproducer fields after the tag, and their inverse.
+  virtual void write_extras(obs::JsonWriter&) const {}
+  virtual void read_extras(const obs::JsonValue& /*doc*/,
+                           const fault::FaultPlan& /*plan*/) {}
+
+  const ModeInfo info;
+  Scenario s;
+  bool wire = true;  ///< wire protocol of the faulted runs
+
+ protected:
+  const Options& opt_;
+};
+
+/// A case whose runs throw is a run-error, in soak, shrink and replay
+/// alike.
+Outcome run_guarded(Mode& m, const fault::FaultPlan& plan,
+                    std::string& stats) {
+  try {
+    return m.run_case(plan, stats);
+  } catch (const std::exception& e) {
+    return {"run-error", std::string("exception: ") + e.what()};
+  }
+}
+
+/// Every mode's matrix: benchmarks x policies x exec models x device
+/// counts. Smoke keeps OEC (edge-cut) and CVC (vertex-cut).
+std::vector<Scenario> scenario_matrix(const ModeInfo& m, bool smoke) {
   using partition::Policy;
-  const std::vector<fw::Benchmark> benches = {
-      fw::Benchmark::kBfs, fw::Benchmark::kCc, fw::Benchmark::kPagerank};
+  const std::vector<fw::Benchmark> benches =
+      m.all_benches ? std::vector<fw::Benchmark>{fw::Benchmark::kBfs,
+                                                 fw::Benchmark::kCc,
+                                                 fw::Benchmark::kPagerank}
+                    : std::vector<fw::Benchmark>{fw::Benchmark::kBfs};
   const std::vector<Policy> policies =
       smoke ? std::vector<Policy>{Policy::OEC, Policy::CVC}
             : std::vector<Policy>{Policy::OEC, Policy::IEC, Policy::HVC,
                                   Policy::CVC};
-  const std::vector<int> devices =
-      smoke ? std::vector<int>{4} : std::vector<int>{4, 8};
+  const std::vector<int> devices = m.vary_devices && !smoke
+                                       ? std::vector<int>{4, 8}
+                                       : std::vector<int>{4};
   std::vector<Scenario> out;
   for (const auto b : benches) {
     for (const auto p : policies) {
-      for (const auto m :
+      for (const auto md :
            {engine::ExecModel::kSync, engine::ExecModel::kAsync}) {
         for (const int d : devices) {
-          out.push_back({b, p, m, d});
+          out.push_back({b, p, md, d});
         }
       }
     }
   }
-  if (smoke) {
-    // One 8-device pair so the smoke matrix still varies device count.
+  if (smoke && m.all_benches && m.vary_devices) {
+    // One 8-device pair so the wire smoke matrix still varies device
+    // count.
     out.push_back({fw::Benchmark::kBfs, Policy::OEC,
                    engine::ExecModel::kSync, 8});
     out.push_back({fw::Benchmark::kBfs, Policy::OEC,
@@ -518,53 +599,190 @@ std::vector<Scenario> scenario_matrix(bool smoke) {
   return out;
 }
 
-/// Gray soak matrix: every policy meets every exec model (migration
-/// planning depends on the replication structure, so all four policies
-/// must prove out), at the 4-device/2-host shape where one degraded
-/// device is a quarter of the fleet — big enough to hurt, small enough
-/// that survivors always have headroom to adopt its masters.
-std::vector<Scenario> gray_matrix(bool smoke) {
-  using partition::Policy;
-  const std::vector<fw::Benchmark> benches = {
-      fw::Benchmark::kBfs, fw::Benchmark::kCc, fw::Benchmark::kPagerank};
-  const std::vector<Policy> policies =
-      smoke ? std::vector<Policy>{Policy::OEC, Policy::CVC}
-            : std::vector<Policy>{Policy::OEC, Policy::IEC, Policy::HVC,
-                                  Policy::CVC};
-  std::vector<Scenario> out;
-  for (const auto b : benches) {
-    for (const auto p : policies) {
-      for (const auto m :
-           {engine::ExecModel::kSync, engine::ExecModel::kAsync}) {
-        out.push_back({b, p, m, 4});
+void print_case(const char* tag, const Mode& m, const fault::FaultPlan& plan,
+                const std::string& stats) {
+  std::printf("%-6s %-24s seed=%-12llu events=%zu%s\n", tag,
+              (m.info.label_prefix + label_of(m.s)).c_str(), ull(plan.seed),
+              plan.events.size(), stats.c_str());
+}
+
+void write_reproducer(const std::filesystem::path& path, const Mode& m,
+                      const fault::FaultPlan& plan, const Outcome& o,
+                      const fault::ShrinkStats* shrink) {
+  obs::JsonWriter w;
+  w.begin_object();
+  w.kv("sg_chaos_schema", 1);
+  w.key("scenario").begin_object();
+  w.kv("benchmark", fw::to_string(m.s.bench));
+  w.kv("policy", partition::to_string(m.s.policy));
+  w.kv("exec_model", engine::to_string(m.s.model));
+  w.kv("devices", m.s.devices);
+  w.kv("wire_protocol", m.wire);
+  w.end_object();
+  if (*m.info.tag != '\0') w.kv(m.info.tag, true);
+  m.write_extras(w);
+  w.kv("failure", o.kind);
+  w.kv("detail", o.detail);
+  w.key("plan");
+  fault::write_plan_json(w, plan);
+  if (shrink != nullptr) {
+    w.key("shrink").begin_object();
+    w.kv("probes", shrink->probes);
+    w.kv("removed_events", shrink->removed_events);
+    w.kv("narrowed_windows", shrink->narrowed_windows);
+    w.end_object();
+  }
+  w.end_object();
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  const std::string doc = w.take();
+  out.write(doc.data(), static_cast<std::streamsize>(doc.size()));
+  out.put('\n');
+}
+
+int soak(Mode& m, const Options& opt) {
+  const int seeds = opt.seeds_per_scenario > 0 ? opt.seeds_per_scenario
+                    : opt.smoke                ? 1
+                                               : 2;
+  std::error_code ec;
+  std::filesystem::create_directories(opt.out_dir, ec);
+  const std::vector<Scenario> scenarios = scenario_matrix(m.info, opt.smoke);
+  std::printf("sg_chaos%s%s: %zu scenarios x %d plan(s), %sbase seed %llu\n",
+              *m.info.flag != '\0' ? " --" : "", m.info.flag,
+              scenarios.size(), seeds, m.banner().c_str(), ull(opt.seed));
+  int failures = 0;
+  int runs = 0;
+  const auto summary = [&] {
+    std::printf("sg_chaos: %d %s, %d failure(s)\n", runs, m.info.noun,
+                failures);
+  };
+  for (std::size_t si = 0; si < scenarios.size(); ++si) {
+    m.s = scenarios[si];
+    if (!m.prepare()) return 2;
+    const int hosts = num_hosts(m.s);
+    for (int k = 0; k < seeds; ++k) {
+      const std::uint64_t seed =
+          opt.seed + 1000003ULL * (si + 1) + 7919ULL * k;
+      fault::FaultPlan plan;
+      try {
+        plan = m.make_plan(seed, k);
+        plan.validate_or_throw(m.s.devices, hosts);
+      } catch (const std::exception& e) {
+        std::fprintf(stderr, "sg_chaos: plan generation failed: %s\n",
+                     e.what());
+        return 2;
+      }
+      std::string stats;
+      const Outcome o = run_guarded(m, plan, stats);
+      ++runs;
+      if (!o.failed()) {
+        print_case("[ok]", m, plan, stats);
+        continue;
+      }
+      ++failures;
+      std::printf("[FAIL] %-24s seed=%llu: %s (%s)\n",
+                  (m.info.label_prefix + label_of(m.s)).c_str(), ull(seed),
+                  o.kind.c_str(), o.detail.c_str());
+      fault::FaultPlan minimal = plan;
+      fault::ShrinkStats shrink_stats;
+      if (opt.shrink) {
+        const auto fails = [&](const fault::FaultPlan& cand) {
+          std::string unused;
+          return cand.validate(m.s.devices, hosts).empty() &&
+                 run_guarded(m, cand, unused).kind == o.kind;
+        };
+        minimal = fault::shrink_plan(plan, fails, &shrink_stats);
+        std::printf(
+            "       shrunk %zu -> %zu event(s) in %d probe(s)\n",
+            plan.events.size(), minimal.events.size(), shrink_stats.probes);
+      }
+      const std::string tag = m.info.tag;
+      const std::filesystem::path repro =
+          std::filesystem::path(opt.out_dir) /
+          ("chaos_repro_" + (tag.empty() ? "" : tag + "_") +
+           sanitize(label_of(m.s)) + "_seed" + std::to_string(seed) +
+           ".json");
+      write_reproducer(repro, m, minimal, o,
+                       opt.shrink ? &shrink_stats : nullptr);
+      std::printf("       reproducer: %s (replay with --replay)\n",
+                  repro.string().c_str());
+      const std::string fdump = dump_flight(repro);
+      if (!fdump.empty()) {
+        std::printf("       flight dump: %s\n", fdump.c_str());
+      }
+      if (!opt.keep_going) {
+        std::printf("sg_chaos: stopping at first failure "
+                    "(--keep-going to continue)\n");
+        summary();
+        return 1;
       }
     }
   }
-  return out;
+  summary();
+  return failures > 0 ? 1 : 0;
 }
 
-fault::ChaosSpec gray_spec(const Scenario& s, int num_hosts,
-                           sim::SimTime horizon) {
-  fault::ChaosSpec spec;
-  spec.num_devices = s.devices;
-  spec.num_hosts = num_hosts;
-  spec.horizon = horizon;
-  // Degradation faults only: the SLO oracle compares makespans, and
-  // message anomalies would fold retry noise into the inflation the
-  // recovery ratio is judged against.
-  spec.allow_drop = false;
-  spec.allow_corrupt = false;
-  spec.allow_duplicate = false;
-  spec.allow_reorder = false;
-  spec.allow_partition = false;
-  spec.allow_straggler = false;
-  spec.allow_degrade = true;
-  spec.allow_link_degrade = num_hosts >= 2;
-  spec.allow_pressure = true;
-  spec.min_events = 1;
-  spec.max_events = 2;
-  return spec;
-}
+// ---- modes judged against a fault-free benchmark oracle ------------------
+
+class OracleMode : public Mode {
+ public:
+  using Mode::Mode;
+  bool prepare() override {
+    oracle_ = run_scenario(s, nullptr, true);
+    if (!oracle_.ok) {
+      std::fprintf(stderr, "sg_chaos: %s oracle failed: %s\n",
+                   label_of(s).c_str(), oracle_.error.c_str());
+      return false;
+    }
+    return true;
+  }
+
+ protected:
+  fw::BenchmarkRun oracle_;
+};
+
+class WireMode final : public OracleMode {
+ public:
+  explicit WireMode(const Options& opt)
+      : OracleMode({.tag = "",
+                    .flag = "",
+                    .noun = "run(s)",
+                    .label_prefix = "",
+                    .replay_note = "",
+                    .pass_note = "run matched the fault-free oracle",
+                    .all_benches = true,
+                    .vary_devices = true,
+                    .takes_defect = true,
+                    .takes_margin = false},
+                   opt) {
+    wire = !opt.inject_defect;
+  }
+  [[nodiscard]] std::string banner() const override {
+    return wire ? "wire protocol ON, "
+                : "wire protocol OFF (--inject-defect), ";
+  }
+  fault::FaultPlan make_plan(std::uint64_t seed, int /*k*/) override {
+    fault::ChaosSpec spec;
+    spec.num_devices = s.devices;
+    spec.num_hosts = num_hosts(s);
+    spec.horizon = oracle_.stats.total_time;
+    return fault::random_plan(seed, spec);
+  }
+  Outcome run_case(const fault::FaultPlan& plan,
+                   std::string& stats) override {
+    const fw::BenchmarkRun r = run_scenario(s, &plan, wire);
+    if (r.ok) {
+      const fault::FaultStats& f = r.stats.faults;
+      stats = strf("  drop=%llu corrupt=%llu dup=%llu reorder=%llu "
+                   "deferred=%llu",
+                   ull(f.messages_dropped), ull(f.messages_corrupted),
+                   ull(f.duplicates_injected), ull(f.reorders_injected),
+                   ull(f.partition_deferred));
+    }
+    return check(s, oracle_, r);
+  }
+};
+
+// ---- gray failures (--gray) ----------------------------------------------
 
 /// Degrade windows shorter than this fraction of the fault-free
 /// makespan are transients: the monitor is *designed* to ride them out
@@ -582,7 +800,7 @@ constexpr double kTransientFraction = 0.25;
 /// transient windows (< kTransientFraction of the fault-free run —
 /// deliberately ridden out, see above). Sustained device-degrade /
 /// memory-pressure plans on edge-cut layouts must recover a real
-/// fraction of the inflation.
+/// fraction (0.15) of the inflation.
 double margin_for(const fault::FaultPlan& plan, partition::Policy policy,
                   double oracle_seconds) {
   if (policy == partition::Policy::HVC ||
@@ -659,144 +877,81 @@ Outcome gray_check(const Scenario& s, const fw::BenchmarkRun& oracle,
   return {};
 }
 
-int do_gray(const Options& opt) {
-  const int seeds = opt.seeds_per_scenario > 0 ? opt.seeds_per_scenario
-                    : opt.smoke                ? 1
-                                               : 2;
-  std::error_code ec;
-  std::filesystem::create_directories(opt.out_dir, ec);
-  const std::vector<Scenario> scenarios = gray_matrix(opt.smoke);
-  std::printf("sg_chaos --gray: %zu scenarios x %d plan(s), base seed "
-              "%llu\n",
-              scenarios.size(), seeds,
-              static_cast<unsigned long long>(opt.seed));
-  int failures = 0;
-  int runs = 0;
-  for (std::size_t si = 0; si < scenarios.size(); ++si) {
-    const Scenario& s = scenarios[si];
-    const sim::Topology topo = sim::Topology::bridges(s.devices, kMemScale);
-    fw::BenchmarkRun oracle;
-    try {
-      oracle = run_scenario(s, nullptr, true);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "sg_chaos: %s oracle threw: %s\n",
-                   label_of(s).c_str(), e.what());
-      return 2;
-    }
-    if (!oracle.ok) {
-      std::fprintf(stderr, "sg_chaos: %s oracle failed: %s\n",
-                   label_of(s).c_str(), oracle.error.c_str());
-      return 2;
-    }
-    for (int k = 0; k < seeds; ++k) {
-      const std::uint64_t seed =
-          opt.seed + 1000003ULL * (si + 1) + 7919ULL * k;
-      fault::FaultPlan plan;
-      try {
-        plan = fault::random_plan(
-            seed, gray_spec(s, topo.num_hosts(), oracle.stats.total_time));
-        plan.validate_or_throw(s.devices, topo.num_hosts());
-      } catch (const std::exception& e) {
-        std::fprintf(stderr, "sg_chaos: plan generation failed: %s\n",
-                     e.what());
-        return 2;
-      }
-      const double margin =
-          opt.recovery_margin >= 0.0 ? opt.recovery_margin
-                                     : margin_for(plan, s.policy, oracle.stats.total_time.seconds());
-      const sim::SimTime beat = oracle.stats.total_time * (1.0 / kGrayBeatsPerRun);
-      auto run_with = [&](const fault::FaultPlan& p,
-                          fault::MitigationMode mit) {
-        GrayTuning tune{mit, beat};
-        fw::BenchmarkRun r;
-        try {
-          r = run_scenario(s, &p, true, &tune);
-        } catch (const std::exception& e) {
-          r.ok = false;
-          r.error = std::string("exception: ") + e.what();
-        }
-        return r;
-      };
-      const fw::BenchmarkRun b =
-          run_with(plan, fault::MitigationMode::kObserve);
-      const fw::BenchmarkRun c =
-          run_with(plan, fault::MitigationMode::kMigrate);
-      ++runs;
-      const Outcome o = gray_check(s, oracle, b, c, margin);
-      if (!o.failed()) {
-        const auto& f = c.stats.faults;
-        const double ta = oracle.stats.total_time.seconds();
-        const double tb = b.stats.total_time.seconds();
-        const double tc = c.stats.total_time.seconds();
-        const double infl = tb - ta;
-        std::printf(
-            "[ok]   %-24s seed=%-12llu events=%zu migr=%llu evict=%llu "
-            "alerts=%llu infl=%.1f%% recov=%.0f%%\n",
-            label_of(s).c_str(), static_cast<unsigned long long>(seed),
-            plan.events.size(),
-            static_cast<unsigned long long>(f.gray_migrations),
-            static_cast<unsigned long long>(f.gray_evictions),
-            static_cast<unsigned long long>(f.gray_alerts),
-            ta > 0.0 ? 100.0 * infl / ta : 0.0,
-            infl > 0.0 ? 100.0 * (tb - tc) / infl : 0.0);
-        continue;
-      }
-      ++failures;
-      std::printf("[FAIL] %-24s seed=%llu: %s (%s)\n", label_of(s).c_str(),
-                  static_cast<unsigned long long>(seed), o.kind.c_str(),
-                  o.detail.c_str());
-      fault::FaultPlan minimal = plan;
-      fault::ShrinkStats shrink_stats;
-      if (opt.shrink) {
-        const auto fails = [&](const fault::FaultPlan& cand) {
-          if (!cand.validate(s.devices, topo.num_hosts()).empty()) {
-            return false;
-          }
-          const fw::BenchmarkRun rb =
-              run_with(cand, fault::MitigationMode::kObserve);
-          const fw::BenchmarkRun rc =
-              run_with(cand, fault::MitigationMode::kMigrate);
-          return gray_check(s, oracle, rb, rc, margin).kind == o.kind;
-        };
-        minimal = fault::shrink_plan(plan, fails, &shrink_stats);
-        std::printf(
-            "       shrunk %zu -> %zu event(s) in %d probe(s)\n",
-            plan.events.size(), minimal.events.size(), shrink_stats.probes);
-      }
-      GrayRepro gr;
-      gr.margin = margin;
-      const std::filesystem::path repro =
-          std::filesystem::path(opt.out_dir) /
-          ("chaos_repro_gray_" + sanitize(label_of(s)) + "_seed" +
-           std::to_string(seed) + ".json");
-      write_reproducer(repro, s, true, minimal, o,
-                       opt.shrink ? &shrink_stats : nullptr, &gr);
-      std::printf("       reproducer: %s (replay with --replay)\n",
-                  repro.string().c_str());
-      const std::string fdump = dump_flight(repro);
-      if (!fdump.empty()) {
-        std::printf("       flight dump: %s\n", fdump.c_str());
-      }
-      if (!opt.keep_going) {
-        std::printf("sg_chaos: stopping at first failure "
-                    "(--keep-going to continue)\n");
-        std::printf("sg_chaos: %d triple(s), %d failure(s)\n", runs,
-                    failures);
-        return 1;
-      }
-    }
+/// Gray matrix (shared with --sdc): every policy meets every exec model
+/// — migration planning depends on the replication structure, so all
+/// four policies must prove out — at the 4-device/2-host shape where
+/// one degraded device is a quarter of the fleet: big enough to hurt,
+/// small enough that survivors always have headroom to adopt its
+/// masters.
+class GrayMode final : public OracleMode {
+ public:
+  explicit GrayMode(const Options& opt)
+      : OracleMode({.tag = "gray",
+                    .flag = "gray",
+                    .noun = "triple(s)",
+                    .label_prefix = "",
+                    .replay_note = ", gray triple",
+                    .pass_note = "triple satisfied the SLO oracle",
+                    .all_benches = true,
+                    .vary_devices = false,
+                    .takes_defect = false,
+                    .takes_margin = true},
+                   opt) {}
+  fault::FaultPlan make_plan(std::uint64_t seed, int /*k*/) override {
+    // Degradation faults only: the SLO oracle compares makespans, and
+    // message anomalies would fold retry noise into the inflation the
+    // recovery ratio is judged against.
+    fault::ChaosSpec spec = quiet_spec(s, oracle_.stats.total_time);
+    spec.allow_degrade = true;
+    spec.allow_link_degrade = spec.num_hosts >= 2;
+    spec.allow_pressure = true;
+    fault::FaultPlan plan = fault::random_plan(seed, spec);
+    margin_ = opt_.recovery_margin.value_or(-1.0) >= 0.0
+                  ? *opt_.recovery_margin
+                  : margin_for(plan, s.policy,
+                               oracle_.stats.total_time.seconds());
+    return plan;
   }
-  std::printf("sg_chaos: %d triple(s), %d failure(s)\n", runs, failures);
-  return failures > 0 ? 1 : 0;
-}
+  Outcome run_case(const fault::FaultPlan& plan,
+                   std::string& stats) override {
+    const sim::SimTime beat =
+        oracle_.stats.total_time * (1.0 / kGrayBeatsPerRun);
+    const GrayTuning observe{fault::MitigationMode::kObserve, beat};
+    const GrayTuning migrate{fault::MitigationMode::kMigrate, beat};
+    const fw::BenchmarkRun b = run_scenario(s, &plan, wire, &observe);
+    const fw::BenchmarkRun c = run_scenario(s, &plan, wire, &migrate);
+    if (c.ok) {
+      const fault::FaultStats& f = c.stats.faults;
+      const double ta = oracle_.stats.total_time.seconds();
+      const double tb = b.stats.total_time.seconds();
+      const double tc = c.stats.total_time.seconds();
+      const double infl = tb - ta;
+      stats = strf(" migr=%llu evict=%llu alerts=%llu infl=%.1f%% "
+                   "recov=%.0f%%",
+                   ull(f.gray_migrations), ull(f.gray_evictions),
+                   ull(f.gray_alerts), ta > 0.0 ? 100.0 * infl / ta : 0.0,
+                   infl > 0.0 ? 100.0 * (tb - tc) / infl : 0.0);
+    }
+    return gray_check(s, oracle_, b, c, margin_);
+  }
+  void write_extras(obs::JsonWriter& w) const override {
+    w.kv("recovery_margin", margin_);
+  }
+  void read_extras(const obs::JsonValue& doc,
+                   const fault::FaultPlan& plan) override {
+    // Hand-written reproducers without a stored margin get the
+    // per-kind fallback with no transient exemption (the oracle run
+    // has not happened yet at parse time).
+    const double fallback = margin_for(plan, s.policy, 0.0);
+    const obs::JsonValue* mv = doc.find("recovery_margin");
+    margin_ = mv != nullptr ? mv->num_or(fallback) : fallback;
+  }
 
-// ---- silent-data-corruption soak (--sdc) ---------------------------------
+ private:
+  double margin_ = 0.0;  ///< recovery margin the case is held to
+};
 
-/// SDC soak matrix: same shape as the gray matrix — every partition
-/// policy meets every exec model (digest coverage is the broadcast
-/// exchange lists, whose shape is the replication structure, so all
-/// four policies must prove out) at the 4-device/2-host scale.
-std::vector<Scenario> sdc_matrix(bool smoke) { return gray_matrix(smoke); }
+// ---- silent data corruption (--sdc) --------------------------------------
 
 /// A replicated vertex the plan can flip: `vertex`'s mirror copy is
 /// resident on `device`, and it sits on a broadcast exchange list the
@@ -869,9 +1024,15 @@ std::uint64_t mix64(std::uint64_t x) {
 /// reduce into the master min-wise and go digest-blind until the final
 /// certificate — covered, but slow to shrink) and a checkpoint-blob
 /// flip for pagerank (the only soaked benchmark that checkpoints).
+/// Throws when the partition has no mirror to flip.
 fault::FaultPlan sdc_plan(std::uint64_t seed, const Scenario& s,
-                          const std::vector<FlipTarget>& targets,
                           sim::SimTime horizon) {
+  const std::vector<FlipTarget> targets = sdc_targets(
+      s.bench, prepared(chaos_graph(), s.policy, s.devices), s.devices);
+  if (targets.empty()) {
+    throw std::runtime_error(label_of(s) +
+                             " has no digest-audited mirrors to flip");
+  }
   fault::FaultPlan plan;
   plan.seed = seed;
   const double h = std::max(horizon.seconds(), 1e-9);
@@ -971,162 +1132,71 @@ Outcome sdc_check(const Scenario& s, const fw::BenchmarkRun& oracle,
   return {};
 }
 
-int do_sdc(const Options& opt) {
-  const int seeds = opt.seeds_per_scenario > 0 ? opt.seeds_per_scenario
-                    : opt.smoke                ? 1
-                                               : 2;
-  std::error_code ec;
-  std::filesystem::create_directories(opt.out_dir, ec);
-  const std::vector<Scenario> scenarios = sdc_matrix(opt.smoke);
-  std::printf("sg_chaos --sdc: %zu scenarios x %d plan(s), auditor %s, "
-              "base seed %llu\n",
-              scenarios.size(), seeds,
-              opt.inject_defect ? "OFF (--inject-defect)" : "ON (repair)",
-              static_cast<unsigned long long>(opt.seed));
-  int failures = 0;
-  int runs = 0;
-  for (std::size_t si = 0; si < scenarios.size(); ++si) {
-    const Scenario& s = scenarios[si];
-    const sim::Topology topo = sim::Topology::bridges(s.devices, kMemScale);
-    fw::BenchmarkRun oracle;
-    try {
-      oracle = run_scenario(s, nullptr, true);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "sg_chaos: %s oracle threw: %s\n",
-                   label_of(s).c_str(), e.what());
-      return 2;
-    }
-    if (!oracle.ok) {
-      std::fprintf(stderr, "sg_chaos: %s oracle failed: %s\n",
-                   label_of(s).c_str(), oracle.error.c_str());
-      return 2;
-    }
-    const std::vector<FlipTarget> targets =
-        sdc_targets(s.bench, prepared_for(s.policy, s.devices), s.devices);
-    if (targets.empty()) {
-      std::fprintf(stderr,
-                   "sg_chaos: %s has no digest-audited mirrors to flip\n",
-                   label_of(s).c_str());
-      return 2;
-    }
-    const integrity::AuditPolicy pol = sdc_policy(s, opt.inject_defect);
-    for (int k = 0; k < seeds; ++k) {
-      const std::uint64_t seed =
-          opt.seed + 1000003ULL * (si + 1) + 7919ULL * k;
-      fault::FaultPlan plan;
-      try {
-        plan = sdc_plan(seed, s, targets, oracle.stats.total_time);
-        plan.validate_or_throw(s.devices, topo.num_hosts());
-      } catch (const std::exception& e) {
-        std::fprintf(stderr, "sg_chaos: plan generation failed: %s\n",
-                     e.what());
-        return 2;
-      }
-      auto run_with = [&](const fault::FaultPlan& p,
-                          const integrity::AuditPolicy* ap) {
-        fw::BenchmarkRun r;
-        try {
-          r = run_scenario(s, &p, true, nullptr, ap);
-        } catch (const std::exception& e) {
-          r.ok = false;
-          r.error = std::string("exception: ") + e.what();
-        }
-        return r;
-      };
-      const fw::BenchmarkRun twin = run_with(plan, nullptr);
-      const fw::BenchmarkRun audited = run_with(plan, &pol);
-      ++runs;
-      const Outcome o = sdc_check(s, oracle, twin, audited, pol);
-      if (!o.failed()) {
-        const fault::FaultStats& f = audited.stats.faults;
-        std::uint64_t lag = 0;
-        for (const fault::SdcStats& d : f.sdc) {
-          lag = std::max(lag, d.max_detect_lag_rounds);
-        }
-        std::printf(
-            "[ok]   %-24s seed=%-12llu events=%zu inj=%llu det=%llu "
-            "rep=%llu audits=%llu lag=%llu\n",
-            label_of(s).c_str(), static_cast<unsigned long long>(seed),
-            plan.events.size(),
-            static_cast<unsigned long long>(f.sdc_injected),
-            static_cast<unsigned long long>(f.sdc_detected),
-            static_cast<unsigned long long>(f.sdc_repaired),
-            static_cast<unsigned long long>(f.sdc_audits),
-            static_cast<unsigned long long>(lag));
-        continue;
-      }
-      ++failures;
-      std::printf("[FAIL] %-24s seed=%llu: %s (%s)\n", label_of(s).c_str(),
-                  static_cast<unsigned long long>(seed), o.kind.c_str(),
-                  o.detail.c_str());
-      fault::FaultPlan minimal = plan;
-      fault::ShrinkStats shrink_stats;
-      if (opt.shrink) {
-        const auto fails = [&](const fault::FaultPlan& cand) {
-          if (!cand.validate(s.devices, topo.num_hosts()).empty()) {
-            return false;
-          }
-          const fw::BenchmarkRun ru = run_with(cand, nullptr);
-          const fw::BenchmarkRun ra = run_with(cand, &pol);
-          return sdc_check(s, oracle, ru, ra, pol).kind == o.kind;
-        };
-        minimal = fault::shrink_plan(plan, fails, &shrink_stats);
-        std::printf(
-            "       shrunk %zu -> %zu event(s) in %d probe(s)\n",
-            plan.events.size(), minimal.events.size(), shrink_stats.probes);
-      }
-      SdcRepro sr;
-      sr.mode = pol.mode;
-      sr.interval = pol.interval_rounds;
-      const std::filesystem::path repro =
-          std::filesystem::path(opt.out_dir) /
-          ("chaos_repro_sdc_" + sanitize(label_of(s)) + "_seed" +
-           std::to_string(seed) + ".json");
-      write_reproducer(repro, s, true, minimal, o,
-                       opt.shrink ? &shrink_stats : nullptr, nullptr, &sr);
-      std::printf("       reproducer: %s (replay with --replay)\n",
-                  repro.string().c_str());
-      const std::string fdump = dump_flight(repro);
-      if (!fdump.empty()) {
-        std::printf("       flight dump: %s\n", fdump.c_str());
-      }
-      if (!opt.keep_going) {
-        std::printf("sg_chaos: stopping at first failure "
-                    "(--keep-going to continue)\n");
-        std::printf("sg_chaos: %d triple(s), %d failure(s)\n", runs,
-                    failures);
-        return 1;
-      }
-    }
+class SdcMode final : public OracleMode {
+ public:
+  explicit SdcMode(const Options& opt)
+      : OracleMode({.tag = "sdc",
+                    .flag = "sdc",
+                    .noun = "triple(s)",
+                    .label_prefix = "",
+                    .replay_note = ", sdc triple",
+                    .pass_note = "triple satisfied the SDC oracle",
+                    .all_benches = true,
+                    .vary_devices = false,
+                    .takes_defect = true,
+                    .takes_margin = false},
+                   opt) {}
+  [[nodiscard]] std::string banner() const override {
+    return opt_.inject_defect ? "auditor OFF (--inject-defect), "
+                              : "auditor ON (repair), ";
   }
-  std::printf("sg_chaos: %d triple(s), %d failure(s)\n", runs, failures);
-  return failures > 0 ? 1 : 0;
-}
-
-// ---- serving-layer soak (--serve) ----------------------------------------
-
-/// Serve soak matrix: the batched kernel's correctness depends on the
-/// replication structure (lane masks cross the same mirror boundaries
-/// as scalar labels) and the exec model, not on the benchmark — the
-/// benchmark IS msbfs. Small matrix per the serving smoke contract.
-std::vector<Scenario> serve_matrix(bool smoke) {
-  using partition::Policy;
-  const std::vector<Policy> policies =
-      smoke ? std::vector<Policy>{Policy::OEC, Policy::CVC}
-            : std::vector<Policy>{Policy::OEC, Policy::IEC, Policy::HVC,
-                                  Policy::CVC};
-  const std::vector<int> devices =
-      smoke ? std::vector<int>{4} : std::vector<int>{4, 8};
-  std::vector<Scenario> out;
-  for (const auto p : policies) {
-    for (const auto m : {engine::ExecModel::kSync, engine::ExecModel::kAsync}) {
-      for (const int d : devices) {
-        out.push_back({fw::Benchmark::kBfs, p, m, d});
-      }
-    }
+  fault::FaultPlan make_plan(std::uint64_t seed, int /*k*/) override {
+    pol_ = sdc_policy(s, opt_.inject_defect);
+    return sdc_plan(seed, s, oracle_.stats.total_time);
   }
-  return out;
-}
+  Outcome run_case(const fault::FaultPlan& plan,
+                   std::string& stats) override {
+    const fw::BenchmarkRun twin = run_scenario(s, &plan, wire);
+    const fw::BenchmarkRun audited =
+        run_scenario(s, &plan, wire, nullptr, &pol_);
+    if (audited.ok) {
+      const fault::FaultStats& f = audited.stats.faults;
+      std::uint64_t lag = 0;
+      for (const fault::SdcStats& d : f.sdc) {
+        lag = std::max(lag, d.max_detect_lag_rounds);
+      }
+      stats = strf(" inj=%llu det=%llu rep=%llu audits=%llu lag=%llu",
+                   ull(f.sdc_injected), ull(f.sdc_detected),
+                   ull(f.sdc_repaired), ull(f.sdc_audits), ull(lag));
+    }
+    return sdc_check(s, oracle_, twin, audited, pol_);
+  }
+  void write_extras(obs::JsonWriter& w) const override {
+    w.kv("audit_mode", integrity::to_string(pol_.mode));
+    w.kv("audit_interval", pol_.interval_rounds);
+  }
+  void read_extras(const obs::JsonValue& doc,
+                   const fault::FaultPlan& /*plan*/) override {
+    pol_ = sdc_policy(s, false);
+    const obs::JsonValue* am = doc.find("audit_mode");
+    const std::string mode = am != nullptr ? am->str_or("repair")
+                                           : "repair";
+    if (!integrity::audit_mode_from_string(mode, pol_.mode)) {
+      throw std::runtime_error("unknown audit_mode \"" + mode + "\"");
+    }
+    const obs::JsonValue* ai = doc.find("audit_interval");
+    pol_.interval_rounds =
+        ai != nullptr ? static_cast<int>(integer_field(
+                            ai, "audit_interval", 1,
+                            std::numeric_limits<int>::max()))
+                      : 1;
+  }
+
+ private:
+  integrity::AuditPolicy pol_;  ///< the audited leg's policy
+};
+
+// ---- serving-layer batched kernel (--serve) ------------------------------
 
 /// The 64 fused sources: a fixed stride over the chaos graph, so a
 /// replayed reproducer needs no recorded source list.
@@ -1140,216 +1210,99 @@ std::vector<graph::VertexId> serve_sources() {
   return src;
 }
 
-algo::MsBfsResult run_serve_msbfs(const Scenario& s,
-                                  const fault::FaultPlan* plan) {
-  const fw::Prepared& prep = prepared_for(s.policy, s.devices);
-  const sim::Topology topo = sim::Topology::bridges(s.devices, kMemScale);
-  const sim::CostParams params = sim::CostParams::for_scaled_datasets();
-  engine::EngineConfig cfg = engine::make_variant(
-      s.model == engine::ExecModel::kSync ? engine::Variant::kVar3
-                                          : engine::Variant::kVar4);
-  cfg.fault_plan = plan;
-  return algo::run_msbfs(prep.dist, prep.sync, topo, params, cfg,
-                         serve_sources());
-}
-
-/// Per-lane bit-exact comparison of a fused msbfs run against the
-/// unbatched single-source oracles.
-Outcome serve_check(const std::vector<std::vector<std::uint32_t>>& oracle,
-                    const algo::MsBfsResult& got) {
-  for (std::size_t i = 0; i < oracle.size(); ++i) {
-    const Outcome o = compare_exact(
-        oracle[i], got.dist[i],
-        ("lane" + std::to_string(i) + " dist").c_str());
-    if (o.failed()) return {"serve-lane-mismatch", o.detail};
+/// Serve matrix: the batched kernel's correctness depends on the
+/// replication structure (lane masks cross the same mirror boundaries
+/// as scalar labels) and the exec model, not on the benchmark — the
+/// benchmark IS msbfs.
+class ServeMode final : public Mode {
+ public:
+  explicit ServeMode(const Options& opt)
+      : Mode({.tag = "serve",
+              .flag = "serve",
+              .noun = "run(s)",
+              .label_prefix = "msbfs/",
+              .replay_note = ", serve (fused msbfs)",
+              .pass_note = "every msbfs lane matched its unbatched oracle",
+              .all_benches = false,
+              .vary_devices = true,
+              .takes_defect = false,
+              .takes_margin = false},
+             opt) {}
+  [[nodiscard]] std::string banner() const override {
+    return strf("%zu fused lanes, ", serve_sources().size());
   }
-  return {};
-}
-
-fault::ChaosSpec serve_spec(const Scenario& s, int num_hosts,
-                            sim::SimTime horizon, bool smoke) {
-  fault::ChaosSpec spec;
-  spec.num_devices = s.devices;
-  spec.num_hosts = num_hosts;
-  spec.horizon = horizon;
-  // Device losses only: the contract under soak is exact per-lane
-  // recovery through eviction + re-home, not anomaly tolerance (the
-  // wire-protocol soak already covers message chaos for min-programs).
-  spec.allow_drop = false;
-  spec.allow_corrupt = false;
-  spec.allow_duplicate = false;
-  spec.allow_reorder = false;
-  spec.allow_partition = false;
-  spec.allow_straggler = false;
-  spec.allow_loss = true;
-  spec.min_events = 1;
-  spec.max_events = smoke ? 1 : 2;
-  return spec;
-}
-
-int do_serve(const Options& opt) {
-  const int seeds = opt.seeds_per_scenario > 0 ? opt.seeds_per_scenario
-                    : opt.smoke                ? 1
-                                               : 2;
-  std::error_code ec;
-  std::filesystem::create_directories(opt.out_dir, ec);
-  const std::vector<Scenario> scenarios = serve_matrix(opt.smoke);
-  const std::vector<graph::VertexId> sources = serve_sources();
-  std::printf("sg_chaos --serve: %zu scenarios x %d plan(s), %zu fused "
-              "lanes, base seed %llu\n",
-              scenarios.size(), seeds, sources.size(),
-              static_cast<unsigned long long>(opt.seed));
-  int failures = 0;
-  int runs = 0;
-  for (std::size_t si = 0; si < scenarios.size(); ++si) {
-    const Scenario& s = scenarios[si];
-    const sim::Topology topo = sim::Topology::bridges(s.devices, kMemScale);
-
+  bool prepare() override {
     // Unbatched oracles: one fault-free single-source BfsProgram run
     // per lane — the exact thing the fused run claims to replace.
-    std::vector<std::vector<std::uint32_t>> oracle;
     algo::MsBfsResult fused;
     try {
-      const fw::Prepared& prep = prepared_for(s.policy, s.devices);
-      const sim::CostParams params = sim::CostParams::for_scaled_datasets();
-      const engine::EngineConfig cfg = engine::make_variant(
-          s.model == engine::ExecModel::kSync ? engine::Variant::kVar3
-                                              : engine::Variant::kVar4);
-      oracle.reserve(sources.size());
-      for (const graph::VertexId src : sources) {
-        oracle.push_back(
-            algo::run_bfs(prep.dist, prep.sync, topo, params, cfg, src)
-                .dist);
+      const Setup e(chaos_graph(), s);
+      lanes_.clear();
+      for (const graph::VertexId src : serve_sources()) {
+        lanes_.push_back(algo::run_bfs(e.prep.dist, e.prep.sync, e.topo,
+                                       e.params, e.cfg, src)
+                             .dist);
       }
-      fused = run_serve_msbfs(s, nullptr);
-    } catch (const std::exception& e) {
+      fused = run_msbfs(nullptr);
+    } catch (const std::exception& ex) {
       std::fprintf(stderr, "sg_chaos: %s oracle threw: %s\n",
-                   label_of(s).c_str(), e.what());
-      return 2;
+                   label_of(s).c_str(), ex.what());
+      return false;
     }
     // Fault-free fused run must already be bit-exact; a mismatch here
     // is a kernel bug, not a fault-tolerance bug — no plan to shrink.
-    if (const Outcome o = serve_check(oracle, fused); o.failed()) {
+    if (const Outcome o = lane_check(fused); o.failed()) {
       std::fprintf(stderr, "sg_chaos: %s fault-free msbfs diverged: %s\n",
                    label_of(s).c_str(), o.detail.c_str());
-      return 2;
+      return false;
     }
+    horizon_ = fused.stats.total_time;
+    return true;
+  }
+  fault::FaultPlan make_plan(std::uint64_t seed, int /*k*/) override {
+    // Device losses only: the contract under soak is exact per-lane
+    // recovery through eviction + re-home, not anomaly tolerance (the
+    // wire-protocol soak already covers message chaos for
+    // min-programs).
+    fault::ChaosSpec spec = quiet_spec(s, horizon_);
+    spec.allow_loss = true;
+    spec.max_events = opt_.smoke ? 1 : 2;
+    return fault::random_plan(seed, spec);
+  }
+  Outcome run_case(const fault::FaultPlan& plan,
+                   std::string& stats) override {
+    const algo::MsBfsResult r = run_msbfs(&plan);
+    const fault::FaultStats& f = r.stats.faults;
+    stats = strf(" evict=%llu rehomed=%llu rounds=%u",
+                 ull(f.evicted_devices), ull(f.rehomed_masters),
+                 r.stats.global_rounds);
+    return lane_check(r);
+  }
 
-    for (int k = 0; k < seeds; ++k) {
-      const std::uint64_t seed =
-          opt.seed + 1000003ULL * (si + 1) + 7919ULL * k;
-      fault::FaultPlan plan;
-      try {
-        plan = fault::random_plan(
-            seed, serve_spec(s, topo.num_hosts(), fused.stats.total_time,
-                             opt.smoke));
-        plan.validate_or_throw(s.devices, topo.num_hosts());
-      } catch (const std::exception& e) {
-        std::fprintf(stderr, "sg_chaos: plan generation failed: %s\n",
-                     e.what());
-        return 2;
-      }
-      auto run_with = [&](const fault::FaultPlan& p) {
-        algo::MsBfsResult r;
-        Outcome o;
-        try {
-          r = run_serve_msbfs(s, &p);
-          o = serve_check(oracle, r);
-        } catch (const std::exception& e) {
-          o = {"run-error", std::string("exception: ") + e.what()};
-        }
-        return std::pair<algo::MsBfsResult, Outcome>(std::move(r),
-                                                     std::move(o));
-      };
-      auto [r, o] = run_with(plan);
-      ++runs;
-      if (!o.failed()) {
-        const auto& f = r.stats.faults;
-        std::printf(
-            "[ok]   %-24s seed=%-12llu events=%zu evict=%llu rehomed=%llu "
-            "rounds=%u\n",
-            ("msbfs/" + label_of(s)).c_str(),
-            static_cast<unsigned long long>(seed), plan.events.size(),
-            static_cast<unsigned long long>(f.evicted_devices),
-            static_cast<unsigned long long>(f.rehomed_masters),
-            r.stats.global_rounds);
-        continue;
-      }
-      ++failures;
-      std::printf("[FAIL] %-24s seed=%llu: %s (%s)\n",
-                  ("msbfs/" + label_of(s)).c_str(),
-                  static_cast<unsigned long long>(seed), o.kind.c_str(),
-                  o.detail.c_str());
-      fault::FaultPlan minimal = plan;
-      fault::ShrinkStats shrink_stats;
-      if (opt.shrink) {
-        const auto fails = [&](const fault::FaultPlan& cand) {
-          if (!cand.validate(s.devices, topo.num_hosts()).empty()) {
-            return false;
-          }
-          return run_with(cand).second.kind == o.kind;
-        };
-        minimal = fault::shrink_plan(plan, fails, &shrink_stats);
-        std::printf(
-            "       shrunk %zu -> %zu event(s) in %d probe(s)\n",
-            plan.events.size(), minimal.events.size(), shrink_stats.probes);
-      }
-      const std::filesystem::path repro =
-          std::filesystem::path(opt.out_dir) /
-          ("chaos_repro_serve_" + sanitize(label_of(s)) + "_seed" +
-           std::to_string(seed) + ".json");
-      write_reproducer(repro, s, true, minimal, o,
-                       opt.shrink ? &shrink_stats : nullptr, nullptr,
-                       nullptr, /*serve=*/true);
-      std::printf("       reproducer: %s (replay with --replay)\n",
-                  repro.string().c_str());
-      const std::string fdump = dump_flight(repro);
-      if (!fdump.empty()) {
-        std::printf("       flight dump: %s\n", fdump.c_str());
-      }
-      if (!opt.keep_going) {
-        std::printf("sg_chaos: stopping at first failure "
-                    "(--keep-going to continue)\n");
-        std::printf("sg_chaos: %d run(s), %d failure(s)\n", runs, failures);
-        return 1;
-      }
+ private:
+  algo::MsBfsResult run_msbfs(const fault::FaultPlan* plan) const {
+    Setup e(chaos_graph(), s);
+    e.cfg.fault_plan = plan;
+    return algo::run_msbfs(e.prep.dist, e.prep.sync, e.topo, e.params,
+                           e.cfg, serve_sources());
+  }
+  /// Per-lane bit-exact comparison of a fused msbfs run against the
+  /// unbatched single-source oracles.
+  [[nodiscard]] Outcome lane_check(const algo::MsBfsResult& got) const {
+    for (std::size_t i = 0; i < lanes_.size(); ++i) {
+      const Outcome o = compare_exact(
+          lanes_[i], got.dist[i],
+          ("lane" + std::to_string(i) + " dist").c_str());
+      if (o.failed()) return {"serve-lane-mismatch", o.detail};
     }
+    return {};
   }
-  std::printf("sg_chaos: %d run(s), %d failure(s)\n", runs, failures);
-  return failures > 0 ? 1 : 0;
-}
 
-// ---- serve-overload soak (--serve-overload) ------------------------------
+  std::vector<std::vector<std::uint32_t>> lanes_;
+  sim::SimTime horizon_;  ///< fault-free fused run length
+};
 
-/// The scheduler soak's own graph: symmetric (so the brownout landmark
-/// triangle bound is sound) with community structure and randomized
-/// sssp weights — the chaos_graph() is asymmetric and unusable here.
-const graph::Csr& overload_graph() {
-  static const graph::Csr g = [] {
-    graph::SyntheticSpec s;
-    s.vertices = 1024;
-    s.edges = 8000;
-    s.zipf_out = 0.6;
-    s.zipf_in = 0.6;
-    s.communities = 4;
-    s.symmetric = true;
-    s.seed = 13;
-    return graph::add_symmetric_weights(graph::synthetic(s), 1, 64, 13);
-  }();
-  return g;
-}
-
-const fw::Prepared& overload_prepared(partition::Policy policy, int devices) {
-  static std::map<std::string, fw::Prepared> cache;
-  const std::string key = std::string(partition::to_string(policy)) + "/" +
-                          std::to_string(devices);
-  auto it = cache.find(key);
-  if (it == cache.end()) {
-    it = cache.emplace(key, fw::prepare(overload_graph(), policy, devices))
-             .first;
-  }
-  return it->second;
-}
+// ---- serving scheduler under overload (--serve-overload) -----------------
 
 /// 4x-overload trace: arrivals far above the fused-batch service rate,
 /// tight deadline slack so the brownout deadline signal and lifecycle
@@ -1510,36 +1463,88 @@ double p0_hit_ratio(const serve::ServeReport& rep) {
          static_cast<double>(rep.by_priority[0].served);
 }
 
-/// Runs one overload case (resilient scheduler + brownout-off twin
-/// under the same trace and plan) and judges the five-point contract.
-/// `out` receives the two reports for logging when non-null.
-Outcome run_overload_case(const Scenario& s, const fault::FaultPlan* plan,
-                          const OverloadRepro& ov,
-                          std::pair<serve::ServeReport,
-                                    serve::ServeReport>* out = nullptr) {
-  const fw::Prepared& prep = overload_prepared(s.policy, s.devices);
-  const sim::Topology topo = sim::Topology::bridges(s.devices, kMemScale);
-  const sim::CostParams params = sim::CostParams::for_scaled_datasets();
-  engine::EngineConfig cfg = engine::make_variant(
-      s.model == engine::ExecModel::kSync ? engine::Variant::kVar3
-                                          : engine::Variant::kVar4);
-  cfg.fault_plan = plan;
-  const std::vector<serve::Query> trace = serve::generate_workload(
-      overload_workload(ov.workload_seed, ov.factor),
-      overload_graph().num_vertices());
-
-  const auto replay = [&](bool brownout) {
-    serve::BatchScheduler sched(prep.dist, prep.sync, topo, params, cfg,
-                                overload_serve_cfg(brownout, ov.defect));
-    std::vector<serve::Answer> answers = sched.run(trace);
-    return std::pair<std::vector<serve::Answer>, serve::ServeReport>(
-        std::move(answers), sched.report());
-  };
-
-  try {
+/// Overload matrix: the robustness layer hooks the dispatch boundary,
+/// whose behaviour varies with the replication structure and exec
+/// model — the benchmark is fixed (the scheduler picks its own
+/// programs).
+class OverloadMode final : public Mode {
+ public:
+  explicit OverloadMode(const Options& opt)
+      : Mode({.tag = "overload",
+              .flag = "serve-overload",
+              .noun = "case(s)",
+              .label_prefix = "serve-ovl/",
+              .replay_note = ", serve-overload",
+              .pass_note = "case satisfied the overload contract",
+              .all_benches = false,
+              .vary_devices = false,
+              .takes_defect = true,
+              .takes_margin = false},
+             opt) {}
+  [[nodiscard]] std::string banner() const override {
+    return opt_.inject_defect ? "defect ARMED (--inject-defect), "
+                              : "defect off, ";
+  }
+  bool prepare() override {
+    // Horizon probe: one fault-free batch over the widest lane set
+    // gives the per-run clock window plan events must land inside.
+    try {
+      const Setup e(overload_graph(), s);
+      std::vector<graph::VertexId> lanes;
+      for (graph::VertexId i = 0; i < algo::MsBfsProgram::kMaxSources; ++i) {
+        lanes.push_back((i * 7) % overload_graph().num_vertices());
+      }
+      horizon_ = algo::run_msbfs(e.prep.dist, e.prep.sync, e.topo, e.params,
+                                 e.cfg, lanes)
+                     .stats.total_time;
+    } catch (const std::exception& ex) {
+      std::fprintf(stderr, "sg_chaos: %s horizon probe threw: %s\n",
+                   label_of(s).c_str(), ex.what());
+      return false;
+    }
+    return true;
+  }
+  fault::FaultPlan make_plan(std::uint64_t seed, int k) override {
+    workload_seed_ = 42 + static_cast<std::uint64_t>(k);
+    factor_ = 4.0;
+    defect_ = opt_.inject_defect;
+    // Loss + gray degradation only: each fused engine run replays the
+    // plan on its own local clock, so the horizon is one batch's
+    // duration, not the trace makespan.
+    fault::ChaosSpec spec = quiet_spec(s, horizon_);
+    spec.allow_loss = true;
+    spec.allow_degrade = true;
+    return fault::random_plan(seed, spec);
+  }
+  /// The resilient scheduler and its brownout-off twin under the same
+  /// trace and plan, judged on the five-point contract.
+  Outcome run_case(const fault::FaultPlan& plan,
+                   std::string& stats) override {
+    Setup e(overload_graph(), s);
+    e.cfg.fault_plan = &plan;
+    const std::vector<serve::Query> trace = serve::generate_workload(
+        overload_workload(workload_seed_, factor_),
+        overload_graph().num_vertices());
+    const auto replay = [&](bool brownout) {
+      serve::BatchScheduler sched(e.prep.dist, e.prep.sync, e.topo,
+                                  e.params, e.cfg,
+                                  overload_serve_cfg(brownout, defect_));
+      std::vector<serve::Answer> answers = sched.run(trace);
+      return std::pair<std::vector<serve::Answer>, serve::ServeReport>(
+          std::move(answers), sched.report());
+    };
     const auto [answers, rep] = replay(/*brownout=*/true);
     const auto [twin_answers, twin_rep] = replay(/*brownout=*/false);
-    if (out != nullptr) *out = {rep, twin_rep};
+    const double hit = p0_hit_ratio(rep);
+    const double twin_hit = p0_hit_ratio(twin_rep);
+    stats = strf(
+        " served=%llu/%llu degraded=%llu shed=%llu retries=%llu "
+        "hedges=%llu migr=%llu tier=%d p0=%.3f (twin %.3f)",
+        ull(rep.served), ull(rep.submitted), ull(rep.degraded_served),
+        ull(rep.rejected_by_reason[static_cast<std::size_t>(
+            serve::RejectReason::kBrownoutShed)]),
+        ull(rep.lifecycle.retries), ull(rep.lifecycle.hedges),
+        ull(rep.reshard_migrations), rep.brownout_peak_tier, hit, twin_hit);
 
     // 1-3: conservation, bit-exactness, degraded-bound soundness.
     ServeOracle oracle;
@@ -1570,462 +1575,148 @@ Outcome run_overload_case(const Scenario& s, const fault::FaultPlan* plan,
     }
     // 5: brownout must not cost top-priority deadline hits vs the
     // brownout-off twin under identical trace + faults.
-    const double hit = p0_hit_ratio(rep);
-    const double twin_hit = p0_hit_ratio(twin_rep);
-    if (!ov.defect && hit >= 0.0 && twin_hit >= 0.0 &&
-        hit + 1e-9 < twin_hit) {
+    if (!defect_ && hit >= 0.0 && twin_hit >= 0.0 && hit + 1e-9 < twin_hit) {
       std::ostringstream d;
       d << "priority-0 deadline-hit " << hit << " with brownout vs "
         << twin_hit << " without";
       return {"overload-p0-regression", d.str()};
     }
     return {};
-  } catch (const std::exception& e) {
-    return {"run-error", std::string("exception: ") + e.what()};
   }
-}
-
-/// Overload soak matrix: the robustness layer hooks the dispatch
-/// boundary, whose behaviour varies with the replication structure and
-/// exec model — benchmark is fixed (the scheduler picks its own
-/// programs).
-std::vector<Scenario> overload_matrix(bool smoke) {
-  using partition::Policy;
-  const std::vector<Policy> policies =
-      smoke ? std::vector<Policy>{Policy::OEC, Policy::CVC}
-            : std::vector<Policy>{Policy::OEC, Policy::IEC, Policy::HVC,
-                                  Policy::CVC};
-  std::vector<Scenario> out;
-  for (const auto p : policies) {
-    for (const auto m :
-         {engine::ExecModel::kSync, engine::ExecModel::kAsync}) {
-      out.push_back({fw::Benchmark::kBfs, p, m, 4});
-    }
+  void write_extras(obs::JsonWriter& w) const override {
+    w.kv("workload_seed", workload_seed_);
+    w.kv("overload_factor", factor_);
+    w.kv("defect", defect_);
   }
-  return out;
-}
-
-/// Loss + gray degradation only: each fused engine run replays the
-/// plan on its own local clock, so the horizon is one batch's
-/// duration, not the trace makespan.
-fault::ChaosSpec overload_spec(const Scenario& s, int num_hosts,
-                               sim::SimTime horizon) {
-  fault::ChaosSpec spec;
-  spec.num_devices = s.devices;
-  spec.num_hosts = num_hosts;
-  spec.horizon = horizon;
-  spec.allow_drop = false;
-  spec.allow_corrupt = false;
-  spec.allow_duplicate = false;
-  spec.allow_reorder = false;
-  spec.allow_partition = false;
-  spec.allow_straggler = false;
-  spec.allow_loss = true;
-  spec.allow_degrade = true;
-  spec.min_events = 1;
-  spec.max_events = 2;
-  return spec;
-}
-
-int do_serve_overload(const Options& opt) {
-  const int seeds = opt.seeds_per_scenario > 0 ? opt.seeds_per_scenario
-                    : opt.smoke                ? 1
-                                               : 2;
-  std::error_code ec;
-  std::filesystem::create_directories(opt.out_dir, ec);
-  const std::vector<Scenario> scenarios = overload_matrix(opt.smoke);
-  std::printf("sg_chaos --serve-overload: %zu scenarios x %d plan(s), "
-              "defect %s, base seed %llu\n",
-              scenarios.size(), seeds,
-              opt.inject_defect ? "ARMED (--inject-defect)" : "off",
-              static_cast<unsigned long long>(opt.seed));
-  int failures = 0;
-  int runs = 0;
-  for (std::size_t si = 0; si < scenarios.size(); ++si) {
-    const Scenario& s = scenarios[si];
-    const sim::Topology topo = sim::Topology::bridges(s.devices, kMemScale);
-    // Horizon probe: one fault-free batch over the widest lane set
-    // gives the per-run clock window plan events must land inside.
-    sim::SimTime horizon;
-    try {
-      const fw::Prepared& prep = overload_prepared(s.policy, s.devices);
-      const sim::CostParams params = sim::CostParams::for_scaled_datasets();
-      const engine::EngineConfig cfg = engine::make_variant(
-          s.model == engine::ExecModel::kSync ? engine::Variant::kVar3
-                                              : engine::Variant::kVar4);
-      std::vector<graph::VertexId> lanes;
-      for (graph::VertexId i = 0; i < algo::MsBfsProgram::kMaxSources; ++i) {
-        lanes.push_back((i * 7) % overload_graph().num_vertices());
-      }
-      horizon = algo::run_msbfs(prep.dist, prep.sync, topo, params, cfg,
-                                lanes)
-                    .stats.total_time;
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "sg_chaos: %s horizon probe threw: %s\n",
-                   label_of(s).c_str(), e.what());
-      return 2;
-    }
-    for (int k = 0; k < seeds; ++k) {
-      const std::uint64_t seed =
-          opt.seed + 1000003ULL * (si + 1) + 7919ULL * k;
-      OverloadRepro ov;
-      ov.workload_seed = 42 + static_cast<std::uint64_t>(k);
-      ov.factor = 4.0;
-      ov.defect = opt.inject_defect;
-      fault::FaultPlan plan;
-      try {
-        plan = fault::random_plan(
-            seed, overload_spec(s, topo.num_hosts(), horizon));
-        plan.validate_or_throw(s.devices, topo.num_hosts());
-      } catch (const std::exception& e) {
-        std::fprintf(stderr, "sg_chaos: plan generation failed: %s\n",
-                     e.what());
-        return 2;
-      }
-      std::pair<serve::ServeReport, serve::ServeReport> reps;
-      const Outcome o = run_overload_case(s, &plan, ov, &reps);
-      ++runs;
-      if (!o.failed()) {
-        const serve::ServeReport& r = reps.first;
-        std::printf(
-            "[ok]   %-24s seed=%-12llu events=%zu served=%llu/%llu "
-            "degraded=%llu shed=%llu retries=%llu hedges=%llu migr=%llu "
-            "tier=%d p0=%.3f (twin %.3f)\n",
-            ("serve-ovl/" + label_of(s)).c_str(),
-            static_cast<unsigned long long>(seed), plan.events.size(),
-            static_cast<unsigned long long>(r.served),
-            static_cast<unsigned long long>(r.submitted),
-            static_cast<unsigned long long>(r.degraded_served),
-            static_cast<unsigned long long>(
-                r.rejected_by_reason[static_cast<std::size_t>(
-                    serve::RejectReason::kBrownoutShed)]),
-            static_cast<unsigned long long>(r.lifecycle.retries),
-            static_cast<unsigned long long>(r.lifecycle.hedges),
-            static_cast<unsigned long long>(r.reshard_migrations),
-            r.brownout_peak_tier, p0_hit_ratio(reps.first),
-            p0_hit_ratio(reps.second));
-        continue;
-      }
-      ++failures;
-      std::printf("[FAIL] %-24s seed=%llu: %s (%s)\n",
-                  ("serve-ovl/" + label_of(s)).c_str(),
-                  static_cast<unsigned long long>(seed), o.kind.c_str(),
-                  o.detail.c_str());
-      fault::FaultPlan minimal = plan;
-      fault::ShrinkStats shrink_stats;
-      if (opt.shrink) {
-        const auto fails = [&](const fault::FaultPlan& cand) {
-          if (!cand.validate(s.devices, topo.num_hosts()).empty()) {
-            return false;
-          }
-          return run_overload_case(s, &cand, ov).kind == o.kind;
-        };
-        minimal = fault::shrink_plan(plan, fails, &shrink_stats);
-        std::printf(
-            "       shrunk %zu -> %zu event(s) in %d probe(s)\n",
-            plan.events.size(), minimal.events.size(), shrink_stats.probes);
-      }
-      const std::filesystem::path repro =
-          std::filesystem::path(opt.out_dir) /
-          ("chaos_repro_overload_" + sanitize(label_of(s)) + "_seed" +
-           std::to_string(seed) + ".json");
-      write_reproducer(repro, s, true, minimal, o,
-                       opt.shrink ? &shrink_stats : nullptr, nullptr,
-                       nullptr, /*serve=*/false, &ov);
-      std::printf("       reproducer: %s (replay with --replay)\n",
-                  repro.string().c_str());
-      const std::string fdump = dump_flight(repro);
-      if (!fdump.empty()) {
-        std::printf("       flight dump: %s\n", fdump.c_str());
-      }
-      if (!opt.keep_going) {
-        std::printf("sg_chaos: stopping at first failure "
-                    "(--keep-going to continue)\n");
-        std::printf("sg_chaos: %d case(s), %d failure(s)\n", runs, failures);
-        return 1;
-      }
-    }
+  void read_extras(const obs::JsonValue& doc,
+                   const fault::FaultPlan& /*plan*/) override {
+    const obs::JsonValue* ws = doc.find("workload_seed");
+    // 2^53: the largest range a JSON number holds exactly.
+    workload_seed_ = ws != nullptr ? static_cast<std::uint64_t>(
+                                         integer_field(ws, "workload_seed",
+                                                       0, 0x1p53))
+                                   : 42;
+    const obs::JsonValue* of = doc.find("overload_factor");
+    factor_ = of != nullptr ? of->num_or(4.0) : 4.0;
+    const obs::JsonValue* df = doc.find("defect");
+    defect_ = df != nullptr && df->kind == obs::JsonValue::Kind::kBool &&
+              df->boolean;
   }
-  std::printf("sg_chaos: %d case(s), %d failure(s)\n", runs, failures);
-  return failures > 0 ? 1 : 0;
+
+ private:
+  sim::SimTime horizon_;  ///< one fault-free fused batch
+  // The case's workload: the trace is regenerated from (seed, factor),
+  // and `defect_` re-arms the lifecycle self-test defect.
+  std::uint64_t workload_seed_ = 42;
+  double factor_ = 4.0;
+  bool defect_ = false;
+};
+
+// ---- mode selection, replay, command line --------------------------------
+
+/// The mode whose reproducer tag is `tag` ("" = wire).
+std::unique_ptr<Mode> make_mode(const std::string& tag, const Options& opt) {
+  if (tag == "gray") return std::make_unique<GrayMode>(opt);
+  if (tag == "sdc") return std::make_unique<SdcMode>(opt);
+  if (tag == "serve") return std::make_unique<ServeMode>(opt);
+  if (tag == "overload") return std::make_unique<OverloadMode>(opt);
+  return std::make_unique<WireMode>(opt);
 }
 
-int usage(const char* argv0) {
-  std::fprintf(
-      stderr,
-      "usage: %s [--smoke] [--gray] [--sdc] [--serve] [--serve-overload]"
-      " [--chaos-seed N] [--seeds N] [--chaos-shrink] [--no-shrink]\n"
-      "          [--inject-defect] [--keep-going] [--recovery-margin X]"
-      " [--out-dir DIR]\n"
-      "       %s --replay FILE\n",
-      argv0, argv0);
-  return 2;
-}
-
-int do_replay(const Options& opt) {
-  std::ifstream in(opt.replay, std::ios::binary);
+int replay(const std::string& file) {
+  std::ifstream in(file, std::ios::binary);
   if (!in) {
-    std::fprintf(stderr, "sg_chaos: cannot open %s\n", opt.replay.c_str());
+    std::fprintf(stderr, "sg_chaos: cannot open %s\n", file.c_str());
     return 2;
   }
   std::ostringstream ss;
   ss << in.rdbuf();
-  obs::JsonValue doc;
-  try {
-    doc = obs::parse_json(ss.str());
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "sg_chaos: %s: %s\n", opt.replay.c_str(), e.what());
-    return 2;
-  }
-  const obs::JsonValue* schema = doc.find("sg_chaos_schema");
-  if (schema == nullptr || static_cast<int>(schema->num_or(0)) != 1) {
-    std::fprintf(stderr,
-                 "sg_chaos: %s is not an sg_chaos reproducer (schema 1)\n",
-                 opt.replay.c_str());
-    return 2;
-  }
-  Scenario s;
-  bool wire = true;
-  bool gray = false;
-  bool sdc = false;
-  bool serve = false;
-  bool overload = false;
-  OverloadRepro ov;
-  integrity::AuditPolicy sdc_pol;
-  double margin = 0.0;
+  const Options defaults;
+  std::unique_ptr<Mode> m;
   fault::FaultPlan plan;
   std::string recorded_failure;
   try {
+    const obs::JsonValue doc = obs::parse_json(ss.str());
+    const obs::JsonValue* schema = doc.find("sg_chaos_schema");
+    if (schema == nullptr || schema->num_or(0) != 1.0) {
+      throw std::runtime_error("not an sg_chaos reproducer (schema 1)");
+    }
     const obs::JsonValue* sc = doc.find("scenario");
     if (sc == nullptr || !sc->is_object()) {
       throw std::runtime_error("missing scenario object");
     }
-    s.bench = fw::benchmark_from_string(
-        sc->find("benchmark")->str_or("bfs"));
-    s.policy = partition::policy_from_string(
-        sc->find("policy")->str_or("OEC"));
-    const std::string model = sc->find("exec_model")->str_or("Sync");
+    Scenario s;
+    s.bench = fw::benchmark_from_string(string_field(*sc, "benchmark"));
+    s.policy = partition::policy_from_string(string_field(*sc, "policy"));
+    const std::string& model = string_field(*sc, "exec_model");
     if (model != "Sync" && model != "Async") {
       throw std::runtime_error("unknown exec_model \"" + model + "\"");
     }
     s.model = model == "Sync" ? engine::ExecModel::kSync
                               : engine::ExecModel::kAsync;
-    s.devices = static_cast<int>(sc->find("devices")->num_or(4));
-    const obs::JsonValue* wp = sc->find("wire_protocol");
-    wire = wp == nullptr || wp->kind != obs::JsonValue::Kind::kBool ||
-           wp->boolean;
+    s.devices = static_cast<int>(integer_field(
+        sc->find("devices"), "scenario.devices", 1,
+        std::numeric_limits<int>::max()));
     const obs::JsonValue* pl = doc.find("plan");
     if (pl == nullptr) throw std::runtime_error("missing plan object");
     plan = fault::plan_from_json(*pl);
-    const obs::JsonValue* gv = doc.find("gray");
-    gray = gv != nullptr && gv->kind == obs::JsonValue::Kind::kBool &&
-           gv->boolean;
-    const obs::JsonValue* sv = doc.find("sdc");
-    sdc = sv != nullptr && sv->kind == obs::JsonValue::Kind::kBool &&
-          sv->boolean;
-    const obs::JsonValue* serve_v = doc.find("serve");
-    serve = serve_v != nullptr &&
-            serve_v->kind == obs::JsonValue::Kind::kBool && serve_v->boolean;
-    const obs::JsonValue* ov_v = doc.find("overload");
-    overload = ov_v != nullptr &&
-               ov_v->kind == obs::JsonValue::Kind::kBool && ov_v->boolean;
-    if (overload) {
-      const obs::JsonValue* ws = doc.find("workload_seed");
-      ov.workload_seed = ws != nullptr
-                             ? static_cast<std::uint64_t>(ws->num_or(42))
-                             : 42;
-      const obs::JsonValue* of = doc.find("overload_factor");
-      ov.factor = of != nullptr ? of->num_or(4.0) : 4.0;
-      const obs::JsonValue* df = doc.find("defect");
-      ov.defect = df != nullptr &&
-                  df->kind == obs::JsonValue::Kind::kBool && df->boolean;
-    }
-    if (sdc) {
-      const obs::JsonValue* am = doc.find("audit_mode");
-      const std::string mode = am != nullptr ? am->str_or("repair")
-                                             : "repair";
-      if (!integrity::audit_mode_from_string(mode, sdc_pol.mode)) {
-        throw std::runtime_error("unknown audit_mode \"" + mode + "\"");
+    std::string tag;
+    for (const char* t : {"gray", "sdc", "serve", "overload"}) {
+      if (!is_true(doc, t)) continue;
+      if (!tag.empty()) {
+        throw std::runtime_error("carries two mode tags, \"" + tag +
+                                 "\" and \"" + t + "\"");
       }
-      const obs::JsonValue* ai = doc.find("audit_interval");
-      sdc_pol.interval_rounds =
-          ai != nullptr ? static_cast<int>(ai->num_or(1)) : 1;
-      sdc_pol.escalate_after = 1000;  // mirror do_sdc: eviction-free triple
+      tag = t;
     }
-    const obs::JsonValue* mv = doc.find("recovery_margin");
-    // Hand-written reproducers without a stored margin get the
-    // per-kind fallback with no transient exemption (the oracle run
-    // has not happened yet at parse time).
-    margin = mv != nullptr ? mv->num_or(margin_for(plan, s.policy, 0.0))
-                           : margin_for(plan, s.policy, 0.0);
+    m = make_mode(tag, defaults);
+    m->s = s;
+    const obs::JsonValue* wp = sc->find("wire_protocol");
+    m->wire = wp == nullptr || wp->kind != obs::JsonValue::Kind::kBool ||
+              wp->boolean;
+    m->read_extras(doc, plan);
     const obs::JsonValue* fail = doc.find("failure");
     recorded_failure = fail != nullptr ? fail->str_or("") : "";
-    const sim::Topology topo = sim::Topology::bridges(s.devices, kMemScale);
-    plan.validate_or_throw(s.devices, topo.num_hosts());
+    plan.validate_or_throw(s.devices, num_hosts(s));
   } catch (const std::exception& e) {
-    std::fprintf(stderr, "sg_chaos: %s: %s\n", opt.replay.c_str(), e.what());
+    std::fprintf(stderr, "sg_chaos: %s: %s\n", file.c_str(), e.what());
     return 2;
   }
-  std::printf("replaying %s: %s, wire_protocol=%s%s%s%s%s, plan events: "
-              "%zu\n",
-              opt.replay.c_str(), label_of(s).c_str(),
-              wire ? "on" : "off", gray ? ", gray triple" : "",
-              sdc ? ", sdc triple" : "",
-              serve ? ", serve (fused msbfs)" : "",
-              overload ? ", serve-overload" : "", plan.events.size());
-  if (overload) {
-    std::pair<serve::ServeReport, serve::ServeReport> reps;
-    const Outcome o = run_overload_case(s, &plan, ov, &reps);
-    std::printf("overload: served=%llu/%llu degraded=%llu retries=%llu "
-                "hedges=%llu migr=%llu tier=%d\n",
-                static_cast<unsigned long long>(reps.first.served),
-                static_cast<unsigned long long>(reps.first.submitted),
-                static_cast<unsigned long long>(reps.first.degraded_served),
-                static_cast<unsigned long long>(reps.first.lifecycle.retries),
-                static_cast<unsigned long long>(reps.first.lifecycle.hedges),
-                static_cast<unsigned long long>(
-                    reps.first.reshard_migrations),
-                reps.first.brownout_peak_tier);
-    if (o.failed()) {
-      std::printf("reproduced: %s (%s)%s\n", o.kind.c_str(),
-                  o.detail.c_str(),
-                  o.kind == recorded_failure
-                      ? ""
-                      : " [failure kind differs from recording]");
-      return 1;
-    }
-    std::printf(
-        "did not reproduce: case satisfied the overload contract\n");
-    return 0;
-  }
-  if (serve) {
-    // Unbatched per-lane oracles, then the fused run under the plan.
-    const fw::Prepared& prep = prepared_for(s.policy, s.devices);
-    const sim::Topology topo = sim::Topology::bridges(s.devices, kMemScale);
-    const sim::CostParams params = sim::CostParams::for_scaled_datasets();
-    const engine::EngineConfig cfg = engine::make_variant(
-        s.model == engine::ExecModel::kSync ? engine::Variant::kVar3
-                                            : engine::Variant::kVar4);
-    std::vector<std::vector<std::uint32_t>> lane_oracle;
-    for (const graph::VertexId src : serve_sources()) {
-      lane_oracle.push_back(
-          algo::run_bfs(prep.dist, prep.sync, topo, params, cfg, src).dist);
-    }
-    Outcome o;
-    try {
-      const algo::MsBfsResult r = run_serve_msbfs(s, &plan);
-      const auto& f = r.stats.faults;
-      std::printf("serve: evict=%llu rehomed=%llu rounds=%u\n",
-                  static_cast<unsigned long long>(f.evicted_devices),
-                  static_cast<unsigned long long>(f.rehomed_masters),
-                  r.stats.global_rounds);
-      o = serve_check(lane_oracle, r);
-    } catch (const std::exception& e) {
-      o = {"run-error", std::string("exception: ") + e.what()};
-    }
-    if (o.failed()) {
-      std::printf("reproduced: %s (%s)%s\n", o.kind.c_str(), o.detail.c_str(),
-                  o.kind == recorded_failure
-                      ? ""
-                      : " [failure kind differs from recording]");
-      return 1;
-    }
-    std::printf(
-        "did not reproduce: every msbfs lane matched its unbatched oracle\n");
-    return 0;
-  }
-  const fw::BenchmarkRun oracle = run_scenario(s, nullptr, true);
-  if (!oracle.ok) {
-    std::fprintf(stderr, "sg_chaos: oracle run failed: %s\n",
-                 oracle.error.c_str());
-    return 2;
-  }
-  if (sdc) {
-    const fw::BenchmarkRun twin = run_scenario(s, &plan, wire);
-    const fw::BenchmarkRun audited =
-        run_scenario(s, &plan, wire, nullptr, &sdc_pol);
-    if (audited.ok) {
-      const fault::FaultStats& f = audited.stats.faults;
-      std::printf(
-          "sdc: inj=%llu det=%llu rep=%llu audits=%llu rollback=%llu "
-          "escal=%llu\n",
-          static_cast<unsigned long long>(f.sdc_injected),
-          static_cast<unsigned long long>(f.sdc_detected),
-          static_cast<unsigned long long>(f.sdc_repaired),
-          static_cast<unsigned long long>(f.sdc_audits),
-          static_cast<unsigned long long>(f.rollbacks),
-          static_cast<unsigned long long>(f.sdc_escalations));
-    }
-    const Outcome o = sdc_check(s, oracle, twin, audited, sdc_pol);
-    if (o.failed()) {
-      std::printf("reproduced: %s (%s)%s\n", o.kind.c_str(),
-                  o.detail.c_str(),
-                  o.kind == recorded_failure
-                      ? ""
-                      : " [failure kind differs from recording]");
-      return 1;
-    }
-    std::printf("did not reproduce: triple satisfied the SDC oracle\n");
-    return 0;
-  }
-  if (gray) {
-    const sim::SimTime beat =
-        oracle.stats.total_time * (1.0 / kGrayBeatsPerRun);
-    GrayTuning observe{fault::MitigationMode::kObserve, beat};
-    GrayTuning migrate{fault::MitigationMode::kMigrate, beat};
-    const fw::BenchmarkRun b = run_scenario(s, &plan, wire, &observe);
-    const fw::BenchmarkRun c = run_scenario(s, &plan, wire, &migrate);
-    if (c.ok) {
-      const fault::FaultStats& f = c.stats.faults;
-      std::printf(
-          "gray: alerts=%llu migr=%llu evict=%llu moved_masters=%llu "
-          "spill=%llu B\n",
-          static_cast<unsigned long long>(f.gray_alerts),
-          static_cast<unsigned long long>(f.gray_migrations),
-          static_cast<unsigned long long>(f.gray_evictions),
-          static_cast<unsigned long long>(f.gray_migrated_masters),
-          static_cast<unsigned long long>(f.spill_bytes));
-    }
-    const Outcome o = gray_check(s, oracle, b, c, margin);
-    if (o.failed()) {
-      std::printf("reproduced: %s (%s)%s\n", o.kind.c_str(),
-                  o.detail.c_str(),
-                  o.kind == recorded_failure
-                      ? ""
-                      : " [failure kind differs from recording]");
-      return 1;
-    }
-    std::printf("did not reproduce: triple satisfied the SLO oracle\n");
-    return 0;
-  }
-  const fw::BenchmarkRun r = run_scenario(s, &plan, wire);
-  if (r.ok) {
-    const fault::FaultStats& f = r.stats.faults;
-    std::printf(
-        "faults: ckpt=%llu rollback=%llu evict=%llu rehomed=%llu "
-        "deferred=%llu fenced=%llu drop=%llu corrupt=%llu dup=%llu "
-        "reorder=%llu\n",
-        static_cast<unsigned long long>(f.checkpoints_taken),
-        static_cast<unsigned long long>(f.rollbacks),
-        static_cast<unsigned long long>(f.evicted_devices),
-        static_cast<unsigned long long>(f.rehomed_masters),
-        static_cast<unsigned long long>(f.partition_deferred),
-        static_cast<unsigned long long>(f.fence_rejects),
-        static_cast<unsigned long long>(f.messages_dropped),
-        static_cast<unsigned long long>(f.messages_corrupted),
-        static_cast<unsigned long long>(f.duplicates_injected),
-        static_cast<unsigned long long>(f.reorders_injected));
-  }
-  const Outcome o = check(s, oracle, r);
+  std::printf("replaying %s: %s, wire_protocol=%s%s, plan events: %zu\n",
+              file.c_str(), label_of(m->s).c_str(), m->wire ? "on" : "off",
+              m->info.replay_note, plan.events.size());
+  if (!m->prepare()) return 2;
+  std::string stats;
+  const Outcome o = run_guarded(*m, plan, stats);
+  if (!stats.empty()) print_case("[run]", *m, plan, stats);
   if (o.failed()) {
-    std::printf("reproduced: %s (%s)%s\n", o.kind.c_str(),
-                o.detail.c_str(),
-                o.kind == recorded_failure ? "" : " [failure kind differs"
-                                                  " from recording]");
+    std::printf("reproduced: %s (%s)%s\n", o.kind.c_str(), o.detail.c_str(),
+                o.kind == recorded_failure
+                    ? ""
+                    : " [failure kind differs from recording]");
     return 1;
   }
-  std::printf("did not reproduce: run matched the fault-free oracle\n");
+  std::printf("did not reproduce: %s\n", m->info.pass_note);
   return 0;
+}
+
+int usage(const char* argv0) {
+  std::fprintf(
+      stderr,
+      "usage: %s [--smoke] [--gray | --sdc | --serve | --serve-overload]\n"
+      "          [--chaos-seed N] [--seeds N] [--no-shrink] [--keep-going]\n"
+      "          [--inject-defect] [--recovery-margin X] [--out-dir DIR]\n"
+      "       %s --replay FILE\n",
+      argv0, argv0);
+  return 2;
+}
+
+/// Parses all of `text` as a number; false on trailing junk or empty.
+template <typename T>
+bool parse_number(const char* text, T& out) {
+  const char* end = text + std::strlen(text);
+  const auto [p, ec] = std::from_chars(text, end, out);
+  return ec == std::errc() && p == end && p != text;
 }
 
 }  // namespace
@@ -2034,38 +1725,41 @@ int main(int argc, char** argv) {
   Options opt;
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
-    auto need_value = [&](const char* flag) -> const char* {
+    const char* v = nullptr;
+    if (a == "--recovery-margin" || a == "--chaos-seed" || a == "--seeds" ||
+        a == "--out-dir" || a == "--replay") {
       if (i + 1 >= argc) {
-        std::fprintf(stderr, "sg_chaos: %s needs a value\n", flag);
-        return nullptr;
+        std::fprintf(stderr, "sg_chaos: %s needs a value\n", a.c_str());
+        return 2;
       }
-      return argv[++i];
+      v = argv[++i];
+    }
+    const auto bad_number = [&] {
+      std::fprintf(stderr, "sg_chaos: %s needs a number, got \"%s\"\n",
+                   a.c_str(), v);
+      return 2;
     };
     if (a == "--smoke") {
       opt.smoke = true;
-    } else if (a == "--gray") {
-      opt.gray = true;
-    } else if (a == "--sdc") {
-      opt.sdc = true;
-    } else if (a == "--serve") {
-      opt.serve = true;
-    } else if (a == "--serve-overload") {
-      opt.serve_overload = true;
+    } else if (a == "--gray" || a == "--sdc" || a == "--serve" ||
+               a == "--serve-overload") {
+      const std::string tag = a == "--serve-overload" ? "overload"
+                                                      : a.substr(2);
+      if (!opt.mode.empty() && opt.mode != tag) {
+        std::fprintf(stderr, "sg_chaos: --sdc, --gray, --serve, and "
+                             "--serve-overload are exclusive\n");
+        return usage(argv[0]);
+      }
+      opt.mode = tag;
     } else if (a == "--recovery-margin") {
-      const char* v = need_value("--recovery-margin");
-      if (v == nullptr) return 2;
-      opt.recovery_margin = std::atof(v);
+      double x = 0.0;
+      if (!parse_number(v, x) || !std::isfinite(x)) return bad_number();
+      opt.recovery_margin = x;
     } else if (a == "--chaos-seed") {
-      const char* v = need_value("--chaos-seed");
-      if (v == nullptr) return 2;
-      opt.seed = std::strtoull(v, nullptr, 10);
+      if (!parse_number(v, opt.seed)) return bad_number();
     } else if (a == "--seeds") {
-      const char* v = need_value("--seeds");
-      if (v == nullptr) return 2;
-      opt.seeds_per_scenario = std::atoi(v);
+      if (!parse_number(v, opt.seeds_per_scenario)) return bad_number();
       if (opt.seeds_per_scenario <= 0) return usage(argv[0]);
-    } else if (a == "--chaos-shrink") {
-      opt.shrink = true;
     } else if (a == "--no-shrink") {
       opt.shrink = false;
     } else if (a == "--inject-defect") {
@@ -2073,12 +1767,8 @@ int main(int argc, char** argv) {
     } else if (a == "--keep-going") {
       opt.keep_going = true;
     } else if (a == "--out-dir") {
-      const char* v = need_value("--out-dir");
-      if (v == nullptr) return 2;
       opt.out_dir = v;
     } else if (a == "--replay") {
-      const char* v = need_value("--replay");
-      if (v == nullptr) return 2;
       opt.replay = v;
     } else if (a == "--help" || a == "-h") {
       usage(argv[0]);
@@ -2088,132 +1778,17 @@ int main(int argc, char** argv) {
       return usage(argv[0]);
     }
   }
-  if (!opt.replay.empty()) return do_replay(opt);
-  if (static_cast<int>(opt.sdc) + static_cast<int>(opt.gray) +
-          static_cast<int>(opt.serve) +
-          static_cast<int>(opt.serve_overload) >
-      1) {
-    std::fprintf(stderr, "sg_chaos: --sdc, --gray, --serve, and "
-                         "--serve-overload are exclusive\n");
-    return usage(argv[0]);
+  const std::unique_ptr<Mode> mode = make_mode(opt.mode, opt);
+  if (opt.inject_defect && !mode->info.takes_defect) {
+    std::fprintf(stderr, "sg_chaos: --inject-defect does not apply to --%s\n",
+                 mode->info.flag);
+    return 2;
   }
-  if (opt.sdc) return do_sdc(opt);
-  if (opt.gray) return do_gray(opt);
-  if (opt.serve) return do_serve(opt);
-  if (opt.serve_overload) return do_serve_overload(opt);
-  const int seeds = opt.seeds_per_scenario > 0 ? opt.seeds_per_scenario
-                    : opt.smoke                ? 1
-                                               : 2;
-  const bool wire = !opt.inject_defect;
-  std::error_code ec;
-  std::filesystem::create_directories(opt.out_dir, ec);
-
-  const std::vector<Scenario> scenarios = scenario_matrix(opt.smoke);
-  std::printf("sg_chaos: %zu scenarios x %d plan(s), wire protocol %s, "
-              "base seed %llu\n",
-              scenarios.size(), seeds, wire ? "ON" : "OFF (--inject-defect)",
-              static_cast<unsigned long long>(opt.seed));
-  int failures = 0;
-  int runs = 0;
-  for (std::size_t si = 0; si < scenarios.size(); ++si) {
-    const Scenario& s = scenarios[si];
-    const sim::Topology topo = sim::Topology::bridges(s.devices, kMemScale);
-    fw::BenchmarkRun oracle;
-    try {
-      oracle = run_scenario(s, nullptr, true);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "sg_chaos: %s oracle threw: %s\n",
-                   label_of(s).c_str(), e.what());
-      return 2;
-    }
-    if (!oracle.ok) {
-      std::fprintf(stderr, "sg_chaos: %s oracle failed: %s\n",
-                   label_of(s).c_str(), oracle.error.c_str());
-      return 2;
-    }
-    for (int k = 0; k < seeds; ++k) {
-      const std::uint64_t seed =
-          opt.seed + 1000003ULL * (si + 1) + 7919ULL * k;
-      fault::ChaosSpec spec;
-      spec.num_devices = s.devices;
-      spec.num_hosts = topo.num_hosts();
-      spec.horizon = oracle.stats.total_time;
-      fault::FaultPlan plan;
-      try {
-        plan = fault::random_plan(seed, spec);
-        plan.validate_or_throw(s.devices, topo.num_hosts());
-      } catch (const std::exception& e) {
-        std::fprintf(stderr, "sg_chaos: plan generation failed: %s\n",
-                     e.what());
-        return 2;
-      }
-      fw::BenchmarkRun r;
-      try {
-        r = run_scenario(s, &plan, wire);
-      } catch (const std::exception& e) {
-        r.ok = false;
-        r.error = std::string("exception: ") + e.what();
-      }
-      ++runs;
-      const Outcome o = check(s, oracle, r);
-      if (!o.failed()) {
-        const auto& f = r.stats.faults;
-        std::printf(
-            "[ok]   %-24s seed=%-12llu events=%zu  "
-            "drop=%llu corrupt=%llu dup=%llu reorder=%llu deferred=%llu\n",
-            label_of(s).c_str(), static_cast<unsigned long long>(seed),
-            plan.events.size(),
-            static_cast<unsigned long long>(f.messages_dropped),
-            static_cast<unsigned long long>(f.messages_corrupted),
-            static_cast<unsigned long long>(f.duplicates_injected),
-            static_cast<unsigned long long>(f.reorders_injected),
-            static_cast<unsigned long long>(f.partition_deferred));
-        continue;
-      }
-      ++failures;
-      std::printf("[FAIL] %-24s seed=%llu: %s (%s)\n", label_of(s).c_str(),
-                  static_cast<unsigned long long>(seed), o.kind.c_str(),
-                  o.detail.c_str());
-      fault::FaultPlan minimal = plan;
-      fault::ShrinkStats shrink_stats;
-      if (opt.shrink) {
-        const auto fails = [&](const fault::FaultPlan& cand) {
-          if (!cand.validate(s.devices, topo.num_hosts()).empty()) {
-            return false;
-          }
-          fw::BenchmarkRun rr;
-          try {
-            rr = run_scenario(s, &cand, wire);
-          } catch (const std::exception&) {
-            return false;
-          }
-          return check(s, oracle, rr).kind == o.kind;
-        };
-        minimal = fault::shrink_plan(plan, fails, &shrink_stats);
-        std::printf(
-            "       shrunk %zu -> %zu event(s) in %d probe(s)\n",
-            plan.events.size(), minimal.events.size(), shrink_stats.probes);
-      }
-      const std::filesystem::path repro =
-          std::filesystem::path(opt.out_dir) /
-          ("chaos_repro_" + sanitize(label_of(s)) + "_seed" +
-           std::to_string(seed) + ".json");
-      write_reproducer(repro, s, wire, minimal, o,
-                       opt.shrink ? &shrink_stats : nullptr);
-      std::printf("       reproducer: %s (replay with --replay)\n",
-                  repro.string().c_str());
-      const std::string fdump = dump_flight(repro);
-      if (!fdump.empty()) {
-        std::printf("       flight dump: %s\n", fdump.c_str());
-      }
-      if (!opt.keep_going) {
-        std::printf("sg_chaos: stopping at first failure "
-                    "(--keep-going to continue)\n");
-        std::printf("sg_chaos: %d run(s), %d failure(s)\n", runs, failures);
-        return 1;
-      }
-    }
+  if (opt.recovery_margin && !mode->info.takes_margin) {
+    std::fprintf(stderr, "sg_chaos: --recovery-margin applies only to "
+                         "--gray\n");
+    return 2;
   }
-  std::printf("sg_chaos: %d run(s), %d failure(s)\n", runs, failures);
-  return failures > 0 ? 1 : 0;
+  if (!opt.replay.empty()) return replay(opt.replay);
+  return soak(*mode, opt);
 }
