@@ -2,40 +2,28 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <cstring>
-#include <deque>
 #include <limits>
 #include <memory>
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "comm/field_sync.hpp"
 #include "comm/sync_structure.hpp"
 #include "engine/config.hpp"
-#include "engine/load_balancer.hpp"
 #include "engine/program.hpp"
 #include "engine/round_ctx.hpp"
+#include "engine/runtime.hpp"
 #include "engine/stats.hpp"
 #include "engine/termination.hpp"
 #include "fault/checkpoint.hpp"
-#include "fault/fault_injector.hpp"
-#include "fault/gray.hpp"
-#include "fault/health.hpp"
 #include "integrity/auditor.hpp"
-#include "obs/flight.hpp"
-#include "obs/metrics.hpp"
-#include "obs/prof.hpp"
-#include "util/hash.hpp"
-#include "obs/trace.hpp"
 #include "partition/dist_graph.hpp"
 #include "partition/partition_io.hpp"
 #include "partition/rehome.hpp"
-#include "sim/device_memory.hpp"
 #include "sim/event_queue.hpp"
-#include "sim/gpu_cost_model.hpp"
-#include "sim/interconnect.hpp"
 #include "sim/thread_pool.hpp"
 #include "sim/topology.hpp"
 
@@ -64,37 +52,35 @@ struct RunResult {
 /// (label arrays are actually updated); time, memory capacity, and
 /// message transport are simulated. Dispatches to a bulk-synchronous
 /// (BSP) or bulk-asynchronous (BASP) loop per EngineConfig::exec_model.
+///
+/// This is the typed core: the code that reads or writes per-device
+/// program state. Everything that does not — message costs, delivery,
+/// tracing, checkpoint and re-homing bookkeeping — lives in the
+/// compiled engine::Runtime base.
 template <VertexProgram Program>
-class Executor {
+class Executor : private Runtime {
   using RV = typename Program::ReduceValue;
   using BV = typename Program::BcastValue;
   using RSync = comm::FieldSync<RV, typename Program::ReduceOp>;
   using BSync = comm::FieldSync<BV, typename Program::BcastOp>;
   using VertexId = graph::VertexId;
+  /// Value type of one sync direction (B: broadcast).
+  template <bool B>
+  using Val = std::conditional_t<B, BV, RV>;
 
  public:
   Executor(const partition::DistGraph& dg, const comm::SyncStructure& sync,
            const sim::Topology& topo, const sim::CostParams& params,
            const EngineConfig& config, const Program& program)
-      : dgp_(&dg),
-        syncp_(&sync),
-        topo_(topo),
-        params_(params),
-        net_(topo, params),
-        config_(config),
-        program_(program),
-        devices_(dg.num_devices()) {
-    if (topo_.num_devices() != devices_) {
-      throw std::invalid_argument(
-          "Executor: topology/partition device count mismatch");
-    }
+      : Runtime(dg, sync, topo, params, config,
+                {sizeof(RV), sizeof(BV), Program::kExtraBytesPerVertex}),
+        program_(program) {
     reduce_filter_ = config_.structural_opt
                          ? program_.pattern().reduce_filter()
                          : comm::ProxyFilter::kAll;
     bcast_filter_ = config_.structural_opt
                         ? program_.pattern().broadcast_filter()
                         : comm::ProxyFilter::kAll;
-    injector_ = fault::FaultInjector(config_.fault_plan, &topo_);
   }
 
   RunResult<Program> run() {
@@ -130,8 +116,6 @@ class Executor {
     std::vector<VertexId> activations;
     std::vector<int> senders;
     std::vector<VertexId> changed;
-    sim::SimTime kernel_time;  // last compute_one_round, for metrics
-    std::unique_ptr<sim::DeviceMemory> memory;
     sim::SimTime clock;
     // BASP only:
     std::uint32_t local_round = 0;
@@ -141,96 +125,45 @@ class Executor {
     // Fault recovery: the device holds re-feed dirty marks that must be
     // flushed once before it may park (BASP degraded recovery).
     bool flush_pending = false;
-    // Wire protocol: per-channel sequence numbers. Channel index is
-    // peer * 2 + kind (reduce / broadcast), reset on layout rebuild
-    // (the epoch bump fences everything sealed before the reset).
-    std::vector<std::uint64_t> seq_out;
-    std::vector<std::uint64_t> seq_in;
   };
 
-  [[nodiscard]] static std::size_t channel(int peer, fault::MsgKind kind) {
-    return static_cast<std::size_t>(peer) * 2 +
-           (kind == fault::MsgKind::kBroadcast ? 1 : 0);
-  }
-
   void setup() {
-    if (config_.fault_plan != nullptr && !config_.fault_plan->empty()) {
-      // A malformed plan is an error, never a silent no-op.
-      config_.fault_plan->validate_or_throw(devices_, topo_.num_hosts());
-    }
-    if (config_.checkpoint.interval_rounds > 0 && !kCheckpointable) {
-      // S-gate: reject instead of silently skipping snapshots — a user
-      // who configured a cadence must learn the model cannot honor it.
-      throw std::invalid_argument(
-          std::string("Executor: checkpointing requested (interval_rounds=") +
-          std::to_string(config_.checkpoint.interval_rounds) +
-          ") but program '" + program_.name() +
-          "' has no archive() on its DeviceState; it cannot be "
-          "checkpointed");
-    }
-    if (!injector_.losses().empty() && devices_ < 2) {
-      throw std::invalid_argument(
-          "Executor: the fault plan schedules a permanent device loss but "
-          "the topology has no surviving device to re-home masters onto");
-    }
-    stats_.resize(devices_);
+    begin_setup(kCheckpointable, program_.name());
     devs_.resize(devices_);
     // Before init: its merge_activations already swaps the ctx's
     // activation buffer with dev.activations, which must have capacity.
     reserve_round_buffers();
-    setup_obs();
     for (int d = 0; d < devices_; ++d) {
       const auto& lg = dg().part(d);
       Dev& dev = devs_[d];
-      dev.memory = std::make_unique<sim::DeviceMemory>(
-          d, topo_.spec(d).memory_bytes);
-      if (config_.static_pool_bytes > 0) {
-        // Lux-style fixed pool (Table III): claimed up front.
-        dev.memory->reserve_static(config_.static_pool_bytes);
-      }
-      charge_memory(d, lg, *dev.memory);
-
-      dev.ctx = std::make_unique<RoundCtx>(lg.num_local);
-      dev.dirty_r.resize(lg.num_local);
-      dev.dirty_b.resize(lg.num_local);
-      dev.in_frontier.resize(lg.num_local);
-      dev.ctx->attach(&dev.dirty_r, &dev.dirty_b);
-      dev.ctx->attach_obs(dev_scope(d));
+      init_memory(d, lg);
       dev.last_seen_round.assign(devices_, 0);
-      dev.seq_out.assign(static_cast<std::size_t>(devices_) * 2, 0);
-      dev.seq_in.assign(static_cast<std::size_t>(devices_) * 2, 0);
-      program_.init(lg, dev.state, *dev.ctx);
+      init_device(d, lg);
       merge_activations(dev);
       dev.progress = !dev.frontier.empty();
-      stats_.peak_memory[d] = dev.memory->peak();
+      stats_.peak_memory[d] = memory_[d]->peak();
     }
-    comm_per_dev_.assign(devices_, comm::CommStats{});
-    fault_per_dev_.assign(devices_, fault::FaultStats{});
-    fault_global_ = fault::FaultStats{};
-    last_ckpt_ = fault::Checkpoint{};
-    next_crash_ = 0;
-    force_sync_rounds_ = 0;
-    if (!config_.checkpoint.dir.empty()) {
-      ckpt_store_ = fault::CheckpointStore(config_.checkpoint.dir);
-    }
-    monitor_ = fault::HeartbeatMonitor(config_.health, &injector_, devices_);
-    monitor_.set_metrics(config_.metrics);
-    gray_ = fault::GrayFailureMonitor(&injector_, devices_,
-                                      config_.mitigation, config_.health);
-    gray_.set_metrics(config_.metrics);
-    pressure_squat_.assign(devices_, 0);
-    epoch_ = 0;
-    dead_.assign(devices_, 0);
-    silent_.assign(devices_, 0);
-    last_basp_ckpt_round_ = 0;
-    label_flip_done_.assign(injector_.label_flips().size(), 0);
-    ckpt_flip_done_.assign(injector_.checkpoint_flips().size(), 0);
-    sdc_repair_count_.assign(devices_, 0);
-    sdc_lag_.clear();
-    audit_boundary_ = 0;
-    final_audits_ = 0;
-    last_sdc_rollback_round_ = std::numeric_limits<std::uint64_t>::max();
-    invariants_valid_ = true;
+    reset_fault_state();
+  }
+
+  /// Fresh runtime for device d on part `lg`: a new ctx, empty dirty
+  /// sets and frontier, wire channels restarted at sequence zero, and
+  /// the program's init() state.
+  void init_device(int d, const partition::LocalGraph& lg) {
+    Dev& dev = devs_[d];
+    dev.ctx = std::make_unique<RoundCtx>(lg.num_local);
+    dev.dirty_r = comm::Bitset{};
+    dev.dirty_r.resize(lg.num_local);
+    dev.dirty_b = comm::Bitset{};
+    dev.dirty_b.resize(lg.num_local);
+    dev.frontier.clear();
+    dev.in_frontier = comm::Bitset{};
+    dev.in_frontier.resize(lg.num_local);
+    dev.ctx->attach(&dev.dirty_r, &dev.dirty_b);
+    dev.ctx->attach_obs(dev_scope(d));
+    reset_channels(d);
+    dev.state = typename Program::DeviceState{};
+    program_.init(lg, dev.state, *dev.ctx);
   }
 
   /// Sizes the BSP round scratch and reserves every per-round buffer to
@@ -272,117 +205,6 @@ class Executor {
     }
   }
 
-  // ---- observability -----------------------------------------------------
-  /// Track layout: 0..D-1 per-device timelines, D..2D-1 "network from
-  /// device d" (spans recorded by the sender, so the parallel BSP
-  /// phases never race on a track), 2D the runtime track (checkpoint /
-  /// rollback / re-homing, recorded from single-threaded contexts only).
-  [[nodiscard]] obs::Scope dev_scope(int d) const {
-    return obs::Scope{tracer_, d};
-  }
-  [[nodiscard]] obs::Scope net_scope(int d) const {
-    return obs::Scope{tracer_, devices_ + d};
-  }
-  [[nodiscard]] obs::Scope rt_scope() const {
-    return obs::Scope{tracer_, 2 * devices_};
-  }
-
-  /// Flight recorder / host profiler handles. Both fall back to the
-  /// process-wide instances, so instrumentation is always wired: the
-  /// recorder is genuinely always-on (lock-free, allocation-free), and
-  /// the global profiler is disabled by default, making every scope a
-  /// branch-and-return.
-  [[nodiscard]] obs::FlightRecorder& flight() const {
-    return config_.flight != nullptr ? *config_.flight
-                                     : obs::FlightRecorder::global();
-  }
-  [[nodiscard]] obs::Profiler& prof() const {
-    return config_.profiler != nullptr ? *config_.profiler
-                                       : obs::Profiler::global();
-  }
-
-  void setup_obs() {
-    tracer_ = config_.tracer;
-    if (tracer_ != nullptr) {
-      tracer_->require_tracks(2 * devices_ + 1);
-      for (int d = 0; d < devices_; ++d) {
-        tracer_->name_track(d, "gpu" + std::to_string(d));
-        tracer_->name_track(devices_ + d,
-                            "net from gpu" + std::to_string(d));
-      }
-      tracer_->name_track(2 * devices_, "runtime");
-    }
-    if (config_.metrics != nullptr) {
-      obs::Registry& reg = *config_.metrics;
-      m_rounds_ = &reg.counter("engine.local_rounds");
-      m_messages_ = &reg.counter("engine.messages_sent");
-      m_bytes_ = &reg.counter("engine.sync_bytes");
-      m_checkpoints_ = &reg.counter("fault.checkpoints");
-      m_rollbacks_ = &reg.counter("fault.rollbacks");
-      m_msg_size_ = &reg.histogram("engine.message_size_bytes",
-                                   obs::Histogram::exp2_bounds(6, 24));
-      m_frontier_ = &reg.histogram("engine.frontier_size",
-                                   obs::Histogram::exp2_bounds(0, 24));
-      m_kernel_us_ = &reg.histogram("engine.kernel_time_us",
-                                    obs::Histogram::exp2_bounds(0, 20));
-      // Byzantine-network counters exist only under an active fault
-      // plan so a clean run's metric dump stays byte-identical.
-      if (injector_.active()) {
-        m_net_anomalies_ = &reg.counter("fault.net_anomalies");
-        m_protocol_discards_ = &reg.counter("fault.protocol_discards");
-        m_partition_deferred_ = &reg.counter("fault.partition_deferred");
-      }
-      // Mitigation counters exist only when the plan actually contains
-      // degradation faults (same byte-identity contract).
-      if (injector_.active() && injector_.has_degradation()) {
-        m_gray_migrations_ = &reg.counter("gray.migrations");
-        m_gray_evictions_ = &reg.counter("gray.evictions");
-      }
-      // SDC counters exist only when the plan actually injects silent
-      // corruption (same byte-identity contract).
-      if (injector_.active() && injector_.has_sdc()) {
-        m_sdc_audits_ = &reg.counter("sdc.audits");
-        m_sdc_detected_ = &reg.counter("sdc.detected");
-        m_sdc_repaired_ = &reg.counter("sdc.repaired");
-      }
-    }
-  }
-
-
-  /// Registers every buffer the engine conceptually places on the GPU.
-  /// Throws sim::OutOfDeviceMemory when capacity is exceeded — the
-  /// "missing data points" of the paper's scaling figures.
-  void charge_memory(int d, const partition::LocalGraph& lg,
-                     sim::DeviceMemory& mem) {
-    mem.allocate("graph", lg.bytes());
-    const std::uint64_t label_bytes =
-        static_cast<std::uint64_t>(lg.num_local) *
-        (sizeof(RV) + sizeof(BV) + Program::kExtraBytesPerVertex);
-    mem.allocate("labels", label_bytes);
-    mem.allocate("worklist", static_cast<std::uint64_t>(lg.num_local) * 8 +
-                                 lg.num_local / 4);
-    mem.allocate("sync_metadata", sync().metadata_bytes(d));
-    if (config_.balancer == sim::Balancer::LB) {
-      // Merrill-style load-balanced search needs a per-edge scan array.
-      mem.allocate("lb_scratch", lg.num_out_edges() * 4);
-    }
-    if (config_.global_label_overhead_bytes > 0) {
-      mem.allocate("global_arrays",
-                   static_cast<std::uint64_t>(dg().global_vertices()) *
-                       config_.global_label_overhead_bytes);
-    }
-    std::uint64_t buffers = 0;
-    for (int o = 0; o < devices_; ++o) {
-      buffers += static_cast<std::uint64_t>(
-                     sync().list(d, o, comm::ProxyFilter::kAll).size()) *
-                 (sizeof(RV) + 4);
-      buffers += static_cast<std::uint64_t>(
-                     sync().list(o, d, comm::ProxyFilter::kAll).size()) *
-                 (sizeof(BV) + 4);
-    }
-    mem.allocate("comm_buffers", buffers);
-  }
-
   // ---- compute ------------------------------------------------------------
   /// Runs one local round on device d starting at simulated time `at`;
   /// returns the kernel time (inflated by an active straggler fault)
@@ -405,468 +227,85 @@ class Executor {
     if (injector_.active() && injector_.has_sdc()) {
       kernel_sdc_perturb(d, at);
     }
-
-    const sim::KernelSchedule sched =
-        analyze_kernel(dev.ctx->work_sizes(), config_.balancer,
-                       topo_.spec(d).thread_blocks);
-    const sim::GpuCostModel cost(topo_.spec(d), params_);
-    sim::SimTime t = cost.kernel_time(sched, config_.balancer);
-    if (injector_.active()) {
-      const double slow = injector_.compute_slowdown(d, at);
-      if (slow > 1.0) {
-        const sim::SimTime extra = t * (slow - 1.0);
-        // Attribution: the extra time is charged to whichever factor
-        // binds — a gray degradation at (or above) the straggler level
-        // owns the delay, else it stays straggler-attributed.
-        const double degrade = injector_.degrade_slowdown(d, at);
-        if (degrade > 1.0 && degrade >= slow) {
-          fault_per_dev_[d].degrade_delay += extra;
-          fault_per_dev_[d].degrade_for(d).degrade_delay += extra;
-        } else {
-          fault_per_dev_[d].straggler_delay += extra;
-        }
-        t += extra;
-      }
-      const sim::SimTime stall = apply_memory_pressure(d, at + t);
-      t += stall;
-      gray_.observe_kernel(d, t.seconds(), stall.seconds());
-    } else {
-      gray_.observe_kernel(d, t.seconds());
-    }
-    stats_.compute_time[d] += t;
-    stats_.work_items[d] += dev.ctx->total_edges();
-    stats_.rounds[d] += 1;
-    dev_scope(d).span(obs::SpanKind::kKernel, "kernel", at, at + t,
-                      dev.ctx->total_edges(), stats_.rounds[d]);
-    dev.kernel_time = t;
-    return t;
-  }
-
-  /// Kernel metrics of device d's last compute_one_round. Called on the
-  /// calling thread in device order, never from a parallel phase: the
-  /// kernel-time histogram's floating-point sum depends on the order of
-  /// its observations.
-  void observe_kernel(int d) {
-    if (m_rounds_ == nullptr) return;
-    const Dev& dev = devs_[d];
-    m_rounds_->inc();
-    m_frontier_->observe(static_cast<double>(dev.current.size()));
-    m_kernel_us_->observe(dev.kernel_time.micros());
+    return charge_kernel(d, at, *dev.ctx);
   }
 
   [[nodiscard]] bool device_has_work(int d) const {
     return !devs_[d].frontier.empty() || devs_[d].progress;
   }
 
-  /// Applies the memory-pressure fault in effect on device `d` at `at`:
-  /// an external squatter claims the ramped fraction of capacity. What
-  /// fits in free headroom is allocated under a "pressure" tag (the
-  /// migration planner sees the shrunken headroom); the deficit is
-  /// modeled as spill traffic staged over PCIe this round, returned as
-  /// a stall on the device's timeline. Touches only per-device state,
-  /// so the parallel BSP compute phase never races.
-  sim::SimTime apply_memory_pressure(int d, sim::SimTime at) {
-    const double frac = injector_.memory_pressure(d, at);
-    std::uint64_t& squat = pressure_squat_[static_cast<std::size_t>(d)];
-    if (frac <= 0.0 && squat == 0) return sim::SimTime{};
+  /// Whether any device that is not silent this round still has work.
+  [[nodiscard]] bool live_work() const {
+    for (int d = 0; d < devices_; ++d) {
+      if (!silent_[d] && device_has_work(d)) return true;
+    }
+    return false;
+  }
+
+  /// Moves pending activations from the ctx into the frontier with
+  /// cross-source deduplication.
+  void merge_activations(Dev& dev) {
+    std::vector<VertexId>& extra = dev.activations;
+    dev.ctx->take_next(extra);  // swaps buffers with the ctx
+    for (VertexId v : extra) {
+      if (!dev.in_frontier.test(v)) {
+        dev.in_frontier.set(v);
+        dev.frontier.push_back(v);
+      }
+    }
+  }
+
+  // ---- one sync direction (B: broadcast, else reduce) ---------------------
+  /// Extracts device d's dirty values for `o` into `p`.
+  template <bool B>
+  void extract_payload(int d, int o, const comm::ExchangeList& list,
+                       comm::Payload<Val<B>>& p) {
     Dev& dev = devs_[d];
-    const std::uint64_t cap = dev.memory->capacity();
-    const auto want =
-        static_cast<std::uint64_t>(frac * static_cast<double>(cap));
-    if (want != squat) {
-      if (squat > 0) dev.memory->free("pressure");
-      const std::uint64_t headroom = cap - dev.memory->in_use();
-      squat = std::min(want, headroom);
-      if (squat > 0) dev.memory->allocate("pressure", squat);
-    }
-    if (want == 0) return sim::SimTime{};
-    fault::DegradeStats& ledger = fault_per_dev_[d].degrade_for(d);
-    ledger.pressure_peak_bytes = std::max(ledger.pressure_peak_bytes, squat);
-    const std::uint64_t deficit = want - squat;
-    if (deficit == 0) return sim::SimTime{};
-    const sim::SimTime stall = net_.host_to_device(deficit);
-    fault_per_dev_[d].spill_bytes += deficit;
-    fault_per_dev_[d].spill_stall += stall;
-    ledger.spill_bytes += deficit;
-    ledger.spill_stall = ledger.spill_stall + stall;
-    dev_scope(d).span(obs::SpanKind::kPcie, "pressure.spill", at, at + stall,
-                      deficit, static_cast<std::uint64_t>(d));
-    return stall;
-  }
-
-  // ---- message bookkeeping --------------------------------------------
-  template <typename T>
-  struct Msg {
-    comm::Payload<T> payload;
-    sim::SimTime arrival;
-    std::uint32_t sender_round = 0;
-    obs::SpanRef net_ref;  ///< network-hop span, for receive-side links
-    // Byzantine-network bookkeeping (BSP slots; BASP uses dup_ghost).
-    bool duplicated = false;        ///< a ghost copy also arrives
-    sim::SimTime dup_arrival;       ///< ghost arrival when duplicated
-    bool dup_ghost = false;         ///< this Msg *is* the ghost (BASP)
-  };
-
-  /// Stamps the versioned wire header on an outgoing payload: version,
-  /// kind, layout epoch, per-channel sequence number, sender round. The
-  /// checksum is computed only under an active fault plan — on a clean
-  /// run sealing is pure bookkeeping with zero modeled (and negligible
-  /// real) cost, keeping clean timelines byte-identical.
-  template <typename T>
-  void seal_payload(comm::Payload<T>& p, int from, int to,
-                    fault::MsgKind kind, std::uint64_t round) {
-    if (!config_.wire_protocol) return;
-    comm::WireHeader& h = p.header;
-    h.version = comm::kWireVersion;
-    h.kind = static_cast<std::uint8_t>(kind);
-    h.epoch = epoch_;
-    h.round = round;
-    h.seq = devs_[from].seq_out[channel(to, kind)]++;
-    if (injector_.active()) h.checksum = comm::payload_checksum(p);
-  }
-
-  /// Receiver-side admission verdict for one arrived payload.
-  enum class Admit : std::uint8_t { kApply, kDiscard, kHold };
-
-  /// Wire-protocol admission on device `d` (DESIGN.md §11): stale-epoch
-  /// payloads are fence-rejected, checksum mismatches and already-seen
-  /// sequence numbers discarded, and sequence gaps held for in-order
-  /// apply (`allow_hold`; BSP's phase barrier makes gaps impossible, so
-  /// it admits and fast-forwards instead). Unsealed payloads (protocol
-  /// off) always apply — the unprotected failure mode under study.
-  /// Mutates only devs_[d] / fault_per_dev_[d], so the parallel BSP
-  /// apply phases never race.
-  template <typename T>
-  Admit admit_payload(int d, const comm::Payload<T>& p, fault::MsgKind kind,
-                      bool allow_hold, sim::SimTime at) {
-    if (!config_.wire_protocol || !p.header.sealed()) return Admit::kApply;
-    const comm::WireHeader& h = p.header;
-    fault::FaultStats& fs = fault_per_dev_[d];
-    if (h.epoch != epoch_) {
-      // Sealed under a pre-rebuild layout: its positions index exchange
-      // lists that no longer exist. Safe to drop — the post-eviction
-      // re-feed resends every proxy value.
-      fs.fence_rejects += 1;
-      fs.pair(p.from, d).fenced += 1;
-      if (m_protocol_discards_ != nullptr) m_protocol_discards_->inc();
-      flight().record(obs::FlightKind::kWire, d, p.from, h.epoch,
-                      "fence_reject", at.seconds());
-      return Admit::kDiscard;
-    }
-    if (!comm::verify_payload(p)) {
-      fs.messages_corrupted += 1;
-      fs.pair(p.from, d).corrupted += 1;
-      if (m_protocol_discards_ != nullptr) m_protocol_discards_->inc();
-      flight().record(obs::FlightKind::kWire, d, p.from,
-                      static_cast<std::int64_t>(h.seq), "checksum_reject",
-                      at.seconds());
-      return Admit::kDiscard;
-    }
-    std::uint64_t& expected = devs_[d].seq_in[channel(p.from, kind)];
-    if (h.seq < expected) {
-      fs.duplicates_discarded += 1;
-      if (m_protocol_discards_ != nullptr) m_protocol_discards_->inc();
-      flight().record(obs::FlightKind::kWire, d, p.from,
-                      static_cast<std::int64_t>(h.seq), "dup_discard",
-                      at.seconds());
-      return Admit::kDiscard;
-    }
-    if (h.seq > expected && allow_hold) return Admit::kHold;
-    expected = h.seq + 1;
-    return Admit::kApply;
-  }
-
-  /// Two-stage cost of an outgoing payload: GPU-side extraction, then
-  /// the PCIe downlink. Under overlap_comm the stages pipeline across
-  /// partners (extract partner i+1 while partner i's buffer is on the
-  /// bus). Byte accounting goes to a per-device slot so parallel BSP
-  /// phases do not race.
-  struct StageCost {
-    sim::SimTime first;   // extraction (send) / uplink (receive)
-    sim::SimTime second;  // downlink (send)  / apply  (receive)
-    [[nodiscard]] sim::SimTime total() const { return first + second; }
-  };
-
-  template <typename T>
-  StageCost send_cost(int d, const comm::Payload<T>& p,
-                      std::uint64_t list_size) {
-    const sim::GpuCostModel cost(topo_.spec(d), params_);
-    StageCost c;
-    if (config_.sync_mode == comm::SyncMode::kUO) {
-      c.first = cost.extract_updates_time(list_size, p.count() * sizeof(T));
+    if constexpr (B) {
+      BSync::extract_broadcast(list, program_.bcast_master_src(dev.state),
+                               dev.dirty_b, config_.sync_mode, d, o, p);
     } else {
-      c.first = cost.buffer_copy_time(p.count() * sizeof(T));
+      RSync::extract_reduce(list, program_.reduce_mirror_src(dev.state),
+                            dev.dirty_r, config_.sync_mode, d, o, p);
     }
-    c.second = net_.device_to_host(p.bytes);
-    comm_per_dev_[d].device_to_host_bytes += p.bytes;
-    comm_per_dev_[d].messages += 1;
-    return c;
   }
 
-  /// PCIe-uplink + device apply cost of one incoming payload.
-  template <typename T>
-  StageCost receive_cost(int d, const comm::Payload<T>& p) {
-    const sim::GpuCostModel cost(topo_.spec(d), params_);
-    StageCost c;
-    c.first = net_.host_to_device(p.bytes);
-    c.second = cost.buffer_copy_time(p.count() * sizeof(T));
-    comm_per_dev_[d].host_to_device_bytes += p.bytes;
-    return c;
+  /// Seals `p`, pays its send cost on `clock` / `engine` and hands it to
+  /// the NIC; a payload delivered corrupt (protocol off) is perturbed.
+  template <bool B>
+  Shipment send_payload(int d, int o, comm::Payload<Val<B>>& p,
+                        std::uint64_t scanned, std::uint64_t round,
+                        sim::SimTime& clock, sim::SimTime& engine) {
+    const SyncSide& side = kSyncSides[B];
+    seal_payload(p, d, o, side.kind, round);
+    const Shipment s = ship(d, o, side, value_bytes(p), p.bytes, scanned,
+                            round, clock, engine);
+    if (s.del.corrupt) comm::corrupt_payload(p, s.del.corrupt_h);
+    return s;
   }
 
-  /// Advances a two-engine pipeline by one payload. Without overlap the
-  /// stages serialize on one timeline; with overlap stage two runs on a
-  /// copy/apply engine concurrently with the next payload's stage one.
-  /// Returns the payload's completion time.
-  sim::SimTime advance_pipeline(StageCost c, sim::SimTime& stage1_clock,
-                                sim::SimTime& stage2_clock) const {
-    stage1_clock += c.first;
-    if (config_.overlap_comm) {
-      stage2_clock = sim::max(stage2_clock, stage1_clock) + c.second;
+  /// Applies payload `p` from `from` on device o and reacts to every
+  /// proxy it changed.
+  template <bool B>
+  void apply_payload(int o, int from, const comm::Payload<Val<B>>& p) {
+    Dev& dev = devs_[o];
+    const auto& lg = dg().part(o);
+    std::vector<VertexId>& changed = dev.changed;
+    changed.clear();
+    if constexpr (B) {
+      BSync::apply_broadcast(exchange_list(B, from, o), p,
+                             program_.bcast_mirror_dst(dev.state), &changed);
+      comm_per_dev_[o].broadcast_values += p.count();
     } else {
-      stage1_clock += c.second;
-      stage2_clock = stage1_clock;
+      RSync::apply_reduce(exchange_list(B, from, o), p,
+                          program_.reduce_master_dst(dev.state), dev.dirty_b,
+                          &changed);
+      comm_per_dev_[o].reduce_values += p.count();
     }
-    return stage2_clock;
-  }
-
-  /// Send-side spans of one payload leaving device `d` for `o`:
-  /// extraction [s0, s0+first), downlink ending at `sent`, and the
-  /// network hop [sent, arrival) on d's network track. The downlink
-  /// span is anchored to `sent` so it is correct in both pipeline modes
-  /// (serialized and overlapped). Also feeds the send-side metrics.
-  /// Returns the network-hop span's ref so receive-side spans can be
-  /// causally linked to it (critical-path analysis). Same-host hops are
-  /// DRAM staging copies, not NIC traffic — they get a distinct
-  /// "*.staging" name so the breakdown taxonomy counts them as
-  /// device-host rather than inter-host.
-  obs::SpanRef trace_send(int d, int o, const char* extract,
-                          const char* downlink, const char* net,
-                          const StageCost& c, sim::SimTime s0,
-                          sim::SimTime sent, sim::SimTime arrival,
-                          std::uint64_t bytes) {
-    obs::SpanRef net_ref;
-    if (tracer_ != nullptr) {
-      const auto peer = static_cast<std::uint64_t>(o);
-      const obs::SpanRef ex = dev_scope(d).span(
-          obs::SpanKind::kExtract, extract, s0, s0 + c.first, bytes, peer);
-      const obs::SpanRef dl = dev_scope(d).span(
-          obs::SpanKind::kPcie, downlink, sent - c.second, sent, bytes, peer);
-      const char* hop = net;
-      if (topo_.same_host(d, o)) {
-        hop = net[0] == 'b' ? "bcast.staging" : "reduce.staging";
-      }
-      net_ref =
-          net_scope(d).span(obs::SpanKind::kNet, hop, sent, arrival, bytes,
-                            peer);
-      tracer_->link(ex, dl);
-      tracer_->link(dl, net_ref);
+    for (VertexId v : changed) {
+      program_.on_update(lg, dev.state, v, kSyncSides[B].update, *dev.ctx);
     }
-    if (m_messages_ != nullptr) {
-      m_messages_->inc();
-      m_bytes_->inc(bytes);
-      m_msg_size_->observe(static_cast<double>(bytes));
-    }
-    return net_ref;
-  }
-
-  /// Receive-side spans on device `d`: uplink [s0, s0+first) and apply
-  /// ending at `end` (anchored like the downlink above), causally
-  /// chained to the message's network hop via `net_ref`.
-  void trace_recv(int d, int from, const char* uplink, const char* apply,
-                  const StageCost& c, sim::SimTime s0, sim::SimTime end,
-                  std::uint64_t bytes, obs::SpanRef net_ref) {
-    if (tracer_ == nullptr) return;
-    const auto peer = static_cast<std::uint64_t>(from);
-    const obs::SpanRef up = dev_scope(d).span(
-        obs::SpanKind::kPcie, uplink, s0, s0 + c.first, bytes, peer);
-    const obs::SpanRef ap = dev_scope(d).span(
-        obs::SpanKind::kApply, apply, end - c.second, end, bytes, peer);
-    tracer_->link(net_ref, up);
-    tracer_->link(up, ap);
-  }
-
-  void account_network(int from, int to, std::uint64_t bytes) {
-    if (!topo_.same_host(from, to)) {
-      comm_per_dev_[from].host_to_host_bytes += bytes;
-    }
-  }
-
-  /// Outcome of handing one message to the simulated NIC.
-  struct Delivery {
-    sim::SimTime arrival;      ///< max() = fenced, never delivered
-    bool corrupt = false;      ///< protocol off: payload must be perturbed
-    std::uint64_t corrupt_h = 0;  ///< deterministic bit-flip selector
-    bool duplicate = false;    ///< a ghost copy also arrives
-    sim::SimTime dup_arrival;  ///< ghost arrival when duplicate
-  };
-
-  // Hash salts for deterministic anomaly shaping (independent of the
-  // injector's decision salts).
-  static constexpr std::uint64_t kGhostDelaySalt = 0x53474748ULL;
-  static constexpr std::uint64_t kReorderDelaySalt = 0x53475244ULL;
-  static constexpr std::uint64_t kCorruptBitsSalt = 0x53474342ULL;
-
-  /// Self-healing host-to-host delivery: returns the arrival of a
-  /// message handed to the network at `sent`, after the full gauntlet
-  /// of injected network behaviour. Under an active fault plan:
-  ///  * a partition separating the endpoint hosts holds the message at
-  ///    the partition edge until heal — unless either endpoint crosses
-  ///    its eviction fence before then, in which case the message is
-  ///    discarded outright (fence reject: no split-brain traffic);
-  ///  * each attempt may be dropped (timeout + backoff + retransmit);
-  ///  * an attempt may be corrupted in flight: with the wire protocol
-  ///    on the checksum catches it and the receiver NACKs the sender
-  ///    into the same retry ladder; with it off the corrupted payload
-  ///    is delivered and silently applied;
-  ///  * the delivered copy may be duplicated (a ghost arrives later)
-  ///    or reordered (arrival delayed past later traffic).
-  /// All decisions are pure seeded hashes, and only per-`from` stat
-  /// slots are touched, so this is safe from the parallel BSP phases.
-  Delivery deliver_link(int from, int to, std::uint64_t bytes,
-                        sim::SimTime sent, fault::MsgKind kind,
-                        std::uint64_t round) {
-    Delivery r;
-    if (!injector_.active()) {
-      r.arrival = sent + net_.host_to_host(from, to, bytes);
-      return r;
-    }
-    const int sh = topo_.host_of(from);
-    const int dh = topo_.host_of(to);
-    fault::FaultStats& fs = fault_per_dev_[from];
-    sim::SimTime start = sent;
-    // Partition gate: cross-partition traffic is held at the edge.
-    while (injector_.hosts_partitioned(sh, dh, start)) {
-      const sim::SimTime heal = injector_.partition_heal(sh, dh, start);
-      if (monitor_.fenced(from, heal) || monitor_.fenced(to, heal)) {
-        // An endpoint is evicted before the link heals: the message is
-        // from/to a fenced side and must never be applied.
-        fs.fence_rejects += 1;
-        fs.pair(from, to).fenced += 1;
-        if (m_protocol_discards_ != nullptr) m_protocol_discards_->inc();
-        net_scope(from).span(obs::SpanKind::kNet, "net.fenced", start, start,
-                             bytes, static_cast<std::uint64_t>(to));
-        flight().record(obs::FlightKind::kWire, from, to,
-                        static_cast<std::int64_t>(bytes), "fenced",
-                        start.seconds());
-        r.arrival = sim::SimTime::max();
-        return r;
-      }
-      fs.partition_deferred += 1;
-      fs.pair(from, to).deferred += 1;
-      fs.retries += 1;
-      fs.retransmitted_bytes += bytes;
-      comm_per_dev_[from].retransmitted_messages += 1;
-      comm_per_dev_[from].retransmitted_bytes += bytes;
-      if (m_partition_deferred_ != nullptr) m_partition_deferred_->inc();
-      net_scope(from).span(obs::SpanKind::kNet, "net.partition_hold", start,
-                           heal, bytes, static_cast<std::uint64_t>(to));
-      flight().record(obs::FlightKind::kWire, from, to,
-                      static_cast<std::int64_t>(bytes), "partition_hold",
-                      start.seconds());
-      start = heal;
-    }
-    sim::SimTime timeout = config_.retry.timeout;
-    for (int attempt = 0;; ++attempt) {
-      const double factor = injector_.link_delay_factor(sh, dh, start);
-      const double lat = injector_.link_latency_factor(sh, dh, start);
-      // Bandwidth derating scales the whole hop; latency derating adds
-      // extra copies of the byte-independent share only (lat == 1, the
-      // default, reproduces the pre-existing bandwidth-only model).
-      sim::SimTime hop = net_.host_to_host(from, to, bytes) * factor;
-      if (lat > 1.0) {
-        hop = hop + net_.host_to_host_fixed(from, to) * (lat - 1.0);
-      }
-      const bool last = attempt >= config_.retry.max_retries;
-      if (!last &&
-          injector_.drops_message(from, to, kind, round, attempt, start)) {
-        // Dropped: the bytes still crossed (part of) the wire, the
-        // sender waits out the delivery timeout, then retransmits.
-        fs.messages_dropped += 1;
-        fs.pair(from, to).dropped += 1;
-        fs.retries += 1;
-        fs.retransmitted_bytes += bytes;
-        comm_per_dev_[from].retransmitted_messages += 1;
-        comm_per_dev_[from].retransmitted_bytes += bytes;
-        account_network(from, to, bytes);
-        flight().record(obs::FlightKind::kWire, from, to, attempt, "drop",
-                        start.seconds());
-        start += timeout;
-        timeout = timeout * config_.retry.backoff;
-        continue;
-      }
-      // This attempt reaches the receiver. In-flight corruption:
-      if (injector_.corrupts_message(from, to, kind, round, attempt,
-                                     start)) {
-        if (m_net_anomalies_ != nullptr) m_net_anomalies_->inc();
-        if (config_.wire_protocol && !last) {
-          // Checksum mismatch at the receiver NIC -> NACK -> the sender
-          // retransmits with the same timeout/backoff ladder. Each
-          // retransmission re-rolls, so a clean copy gets through.
-          fs.messages_corrupted += 1;
-          fs.pair(from, to).corrupted += 1;
-          fs.retries += 1;
-          fs.retransmitted_bytes += bytes;
-          comm_per_dev_[from].retransmitted_messages += 1;
-          comm_per_dev_[from].retransmitted_bytes += bytes;
-          account_network(from, to, bytes);
-          net_scope(from).span(obs::SpanKind::kNet, "net.nack_retry", start,
-                               start + timeout, bytes,
-                               static_cast<std::uint64_t>(to));
-          flight().record(obs::FlightKind::kWire, from, to, attempt,
-                          "nack_retry", start.seconds());
-          start += timeout;
-          timeout = timeout * config_.retry.backoff;
-          continue;
-        }
-        if (!config_.wire_protocol) {
-          // Unprotected: the bit-flipped payload is delivered and will
-          // be silently applied — the failure mode the checksum exists
-          // to prevent (sg_chaos --inject-defect demonstrates it).
-          r.corrupt = true;
-          r.corrupt_h = static_cast<std::uint64_t>(
-              injector_.anomaly_uniform(kCorruptBitsSalt, from, to, kind,
-                                        round) *
-              9007199254740992.0);
-          fs.corrupt_applied += 1;
-          fs.pair(from, to).corrupted += 1;
-          flight().record(obs::FlightKind::kWire, from, to,
-                          static_cast<std::int64_t>(round), "corrupt_applied",
-                          start.seconds());
-        }
-        // Protocol on but the retry ladder is exhausted: the bounded
-        // final attempt is modeled as verified end-to-end (delivered
-        // clean) so no message is ever lost permanently.
-      }
-      sim::SimTime arrival = start + hop;
-      if (injector_.reorders_message(from, to, kind, round, start)) {
-        // Delayed past later traffic on the channel; the receiver's
-        // reorder buffer (protocol on) restores apply order.
-        const double u = injector_.anomaly_uniform(kReorderDelaySalt, from,
-                                                   to, kind, round);
-        arrival = arrival + config_.retry.timeout * (0.5 + 3.0 * u);
-        fs.reorders_injected += 1;
-        fs.pair(from, to).reordered += 1;
-        if (m_net_anomalies_ != nullptr) m_net_anomalies_->inc();
-        flight().record(obs::FlightKind::kWire, from, to,
-                        static_cast<std::int64_t>(round), "reorder",
-                        start.seconds());
-      }
-      if (injector_.duplicates_message(from, to, kind, round, start)) {
-        const double u = injector_.anomaly_uniform(kGhostDelaySalt, from, to,
-                                                   kind, round);
-        r.duplicate = true;
-        r.dup_arrival = arrival + config_.retry.timeout * (0.5 + 3.0 * u);
-        fs.duplicates_injected += 1;
-        fs.pair(from, to).duplicated += 1;
-        if (m_net_anomalies_ != nullptr) m_net_anomalies_->inc();
-        flight().record(obs::FlightKind::kWire, from, to,
-                        static_cast<std::int64_t>(round), "dup_inject",
-                        start.seconds());
-      }
-      r.arrival = arrival;
-      return r;
-    }
+    merge_activations(dev);
   }
 
   // =========================================================================
@@ -884,22 +323,11 @@ class Executor {
       // sending at its loss time, and peers stop extracting toward it
       // (no delivery can ever be acknowledged, so the runtime keeps
       // those updates dirty instead of destroying them at extraction).
-      if (monitor_.active()) {
-        for (int d = 0; d < devices_; ++d) {
-          silent_[d] =
-              (dead_[d] || injector_.lost_at(d) <= barrier) ? 1 : 0;
-        }
-      }
+      mark_silent(barrier);
       const bool losses_pending =
           monitor_.active() && !monitor_.all_losses_evicted();
-      const bool any_work = [&] {
-        for (int d = 0; d < devices_; ++d) {
-          if (silent_[d]) continue;
-          if (device_has_work(d)) return true;
-        }
-        return false;
-      }();
-      if (!any_work && force_sync_rounds_ == 0 && config_.fixed_rounds == 0) {
+      if (!live_work() && force_sync_rounds_ == 0 &&
+          config_.fixed_rounds == 0) {
         if (!losses_pending) {
           if (bsp_may_terminate(barrier)) break;
           continue;  // a final-audit repair revived work; rerun the round
@@ -933,11 +361,11 @@ class Executor {
             ready_[d] += compute_one_round(static_cast<int>(d), ready_[d]);
             computed_[d] = 1;
           }
-          extract_reduce_all(static_cast<int>(d), ready_[d], rmsgs_);
+          ready_[d] = extract_all<false>(static_cast<int>(d), ready_[d]);
         }
       });
       for (int d = 0; d < devices_; ++d) {
-        if (computed_[d] != 0) observe_kernel(d);
+        if (computed_[d] != 0) observe_kernel(d, devs_[d].current.size());
       }
       if (config_.collect_trace) {
         RoundTrace tr;
@@ -954,8 +382,7 @@ class Executor {
       pool.parallel_for(0, devices_, [&](std::size_t lo, std::size_t hi,
                                          std::size_t) {
         for (std::size_t o = lo; o < hi; ++o) {
-          after_recv_[o] =
-              apply_reduce_all(static_cast<int>(o), ready_[o], rmsgs_);
+          after_recv_[o] = apply_all<false>(static_cast<int>(o), ready_[o]);
         }
       });
 
@@ -966,7 +393,7 @@ class Executor {
         for (std::size_t d = lo; d < hi; ++d) {
           if (silent_[d]) continue;
           after_bext_[d] =
-              extract_bcast_all(static_cast<int>(d), after_recv_[d], bmsgs_);
+              extract_all<true>(static_cast<int>(d), after_recv_[d]);
         }
       });
 
@@ -974,69 +401,24 @@ class Executor {
       pool.parallel_for(0, devices_, [&](std::size_t lo, std::size_t hi,
                                          std::size_t) {
         for (std::size_t o = lo; o < hi; ++o) {
-          done_[o] =
-              apply_bcast_all(static_cast<int>(o), after_bext_[o], bmsgs_);
+          done_[o] = apply_all<true>(static_cast<int>(o), after_bext_[o]);
           devs_[o].dirty_b.clear();  // broadcasts consumed
         }
       });
 
       // Network byte accounting (sequential; cheap).
-      for (const auto& m : rmsgs_) {
-        if (m.payload.from >= 0) {
-          account_network(m.payload.from, m.payload.to, m.payload.bytes);
+      const auto account = [&](const auto& slots) {
+        for (const auto& m : slots) {
+          if (m.payload.from >= 0) {
+            account_network(m.payload.from, m.payload.to, m.payload.bytes);
+          }
         }
-      }
-      for (const auto& m : bmsgs_) {
-        if (m.payload.from >= 0) {
-          account_network(m.payload.from, m.payload.to, m.payload.bytes);
-        }
-      }
+      };
+      account(rmsgs_);
+      account(bmsgs_);
+      trace_round_volume();
 
-      if (config_.collect_trace && !stats_.trace.empty()) {
-        std::uint64_t volume = 0;
-        for (const auto& c : comm_per_dev_) {
-          volume += c.device_to_host_bytes + c.host_to_device_bytes;
-        }
-        stats_.trace.back().volume_bytes = volume - traced_volume_;
-        traced_volume_ = volume;
-      }
-
-      // Barrier: stragglers stall everyone (Lux's failure mode at scale).
-      int slowest = 0;  // barrier-release cause (ties: lowest device)
-      sim::SimTime next_barrier = barrier;
-      for (int d = 0; d < devices_; ++d) {
-        if (done_[d] > next_barrier) slowest = d;
-        next_barrier = sim::max(next_barrier, done_[d]);
-      }
-      // The barrier release is caused by the slowest device's last span;
-      // linking it into every wait span lets the critical-path walk
-      // follow the straggler's chain instead of blaming the waiters.
-      obs::SpanRef release;
-      if (tracer_ != nullptr) release = tracer_->last_ref(slowest);
-      if (config_.charge_runtime_overhead) {
-        // Centralized runtime task mapping serializes across devices.
-        const sim::SimTime overhead =
-            params_.runtime_task_overhead * static_cast<double>(devices_);
-        if (tracer_ != nullptr) {
-          const obs::SpanRef rt = rt_scope().span(
-              obs::SpanKind::kOther, "runtime.barrier", next_barrier,
-              next_barrier + overhead, 0, stats_.global_rounds);
-          tracer_->link(release, rt);
-          release = rt;
-        }
-        next_barrier += overhead;
-      }
-      for (int d = 0; d < devices_; ++d) {
-        stats_.wait_time[d] += next_barrier - done_[d];
-        if (next_barrier > done_[d]) {
-          const obs::SpanRef waiting =
-              dev_scope(d).span(obs::SpanKind::kWait, "wait.barrier",
-                                done_[d], next_barrier, 0,
-                                stats_.global_rounds);
-          if (tracer_ != nullptr) tracer_->link(release, waiting);
-        }
-      }
-      barrier = next_barrier;
+      barrier = bsp_barrier(barrier);
 
       // Fault handling at the barrier (a consistent cut): detect and
       // recover crashes that occurred this round, then checkpoint.
@@ -1046,15 +428,101 @@ class Executor {
       // but never while a planned loss is still awaiting eviction.
       if (config_.fixed_rounds == 0 && force_sync_rounds_ == 0 &&
           !(monitor_.active() && !monitor_.all_losses_evicted())) {
-        bool active = false;
-        for (int d = 0; d < devices_; ++d) {
-          if (silent_[d]) continue;
-          if (device_has_work(d)) active = true;
-        }
-        if (!active && bsp_may_terminate(barrier)) break;
+        if (!live_work() && bsp_may_terminate(barrier)) break;
       }
     }
     total_time_ = barrier;
+  }
+
+  /// BSP message slots of one sync direction: D² entries indexed
+  /// [from * D + to].
+  template <bool B>
+  std::vector<Msg<Val<B>>>& slots() {
+    if constexpr (B) {
+      return bmsgs_;
+    } else {
+      return rmsgs_;
+    }
+  }
+
+  /// Extracts all of device d's payloads of one direction into its row
+  /// of the message slots, sending from `ready`; returns the time its
+  /// send engines are done.
+  template <bool B>
+  sim::SimTime extract_all(int d, sim::SimTime ready) {
+    const auto sync_scope = prof().scope(kSyncSides[B].prof_extract);
+    std::vector<Msg<Val<B>>>& out = slots<B>();
+    sim::SimTime engine = ready;  // downlink copy engine (overlap mode)
+    for (int o = 0; o < devices_; ++o) {
+      if (o == d || silent_[o]) continue;
+      const comm::ExchangeList& list = exchange_list(B, d, o);
+      if (list.size() == 0) continue;
+      Msg<Val<B>>& slot = out[static_cast<std::size_t>(d) * devices_ + o];
+      comm::Payload<Val<B>>& payload = slot.payload;
+      extract_payload<B>(d, o, list, payload);
+      // Empty UO updates are piggybacked on round-control traffic in
+      // Gluon; they carry no modeled cost. AS always ships full lists.
+      if (config_.sync_mode == comm::SyncMode::kUO &&
+          payload.empty_update()) {
+        payload.from = -1;  // nothing sent: the slot stays empty
+        continue;
+      }
+      const Shipment s = send_payload<B>(d, o, payload, list.size(),
+                                         stats_.global_rounds, ready, engine);
+      if (s.fenced()) {  // fenced at NIC
+        payload.from = -1;
+        continue;
+      }
+      slot.arrival = s.del.arrival;
+      slot.duplicated = s.del.duplicate;
+      slot.dup_arrival = s.del.dup_arrival;
+      slot.net_ref = s.net_ref;
+    }
+    return sim::max(ready, engine);
+  }
+
+  /// Applies all payloads of one direction destined to device o in
+  /// arrival order; returns the time o finishes (wait gaps accounted).
+  template <bool B>
+  sim::SimTime apply_all(int o, sim::SimTime start) {
+    const SyncSide& side = kSyncSides[B];
+    const auto sync_scope = prof().scope(side.prof_apply);
+    const std::vector<Msg<Val<B>>>& msgs = slots<B>();
+    // Gather senders in arrival order (deterministic tie-break by id).
+    std::vector<int>& senders = devs_[o].senders;
+    senders.clear();
+    for (int d = 0; d < devices_; ++d) {
+      if (d != o &&
+          msgs[static_cast<std::size_t>(d) * devices_ + o].payload.from >= 0) {
+        senders.push_back(d);
+      }
+    }
+    std::sort(senders.begin(), senders.end(), [&](int a, int b) {
+      const auto& ma = msgs[static_cast<std::size_t>(a) * devices_ + o];
+      const auto& mb = msgs[static_cast<std::size_t>(b) * devices_ + o];
+      if (ma.arrival != mb.arrival) return ma.arrival < mb.arrival;
+      return a < b;
+    });
+    sim::SimTime t = start;
+    sim::SimTime recv_engine = start;  // apply engine (overlap mode)
+    for (int d : senders) {
+      const auto& m = msgs[static_cast<std::size_t>(d) * devices_ + o];
+      // Wire-protocol admission: stale-epoch or already-seen payloads
+      // are rejected at the NIC before any uplink cost is paid.
+      if (admit_payload(o, m.payload, side.kind, /*allow_hold=*/false,
+                        m.arrival) == Admit::kDiscard) {
+        continue;
+      }
+      bsp_receive(o, d, side, value_bytes(m.payload), m.payload.bytes,
+                  m.arrival, m.net_ref, t, recv_engine);
+      apply_payload<B>(o, d, m.payload);
+      if (m.duplicated &&
+          ghost_receive(o, value_bytes(m.payload), m.payload.bytes,
+                        m.dup_arrival, t, recv_engine)) {
+        apply_payload<B>(o, d, m.payload);
+      }
+    }
+    return sim::max(t, recv_engine);
   }
 
   // ---- BSP fault handling ----------------------------------------------
@@ -1096,16 +564,41 @@ class Executor {
     r.expect_end();
   }
 
+  /// Restores every device (only live ones when `live_only`) from the
+  /// last checkpoint and counts the rollback; returns the slowest
+  /// device's restore time (devices restore in parallel).
+  sim::SimTime restore_checkpoint(bool live_only) {
+    sim::SimTime worst;
+    for (int d = 0; d < devices_; ++d) {
+      if (live_only && dead_[d]) continue;
+      restore_device(d, last_ckpt_.devices[d].bytes);
+      worst = sim::max(worst, restore_cost(last_ckpt_.devices[d].bytes.size()));
+    }
+    fault_global_.rollbacks += 1;
+    return worst;
+  }
+
+  /// Cold-restarts device d's program state (re-init on the current
+  /// layout); returns the modeled re-init cost.
+  sim::SimTime cold_reinit(int d) {
+    Dev& dev = devs_[d];
+    const auto& lg = dg().part(d);
+    dev.state = typename Program::DeviceState{};
+    dev.dirty_r.clear();
+    dev.dirty_b.clear();
+    dev.frontier.clear();
+    dev.in_frontier.clear();
+    program_.init(lg, dev.state, *dev.ctx);
+    merge_activations(dev);
+    dev.progress = !dev.frontier.empty();
+    return reinit_cost(lg.num_local);
+  }
+
   /// Runs crash detection/recovery and periodic checkpointing at the
   /// barrier; returns the barrier time including fault-handling cost.
   sim::SimTime bsp_fault_barrier(sim::SimTime barrier) {
     if (injector_.active()) {
-      std::vector<int> crashed;
-      while (next_crash_ < injector_.crashes().size() &&
-             injector_.crashes()[next_crash_].at <= barrier) {
-        crashed.push_back(injector_.crashes()[next_crash_].device);
-        ++next_crash_;
-      }
+      const std::vector<int> crashed = due_crashes(barrier);
       if (!crashed.empty()) barrier = bsp_recover(barrier, crashed);
     }
     if (monitor_.active()) {
@@ -1156,93 +649,19 @@ class Executor {
     return barrier;
   }
 
-  /// A silence that will end in eviction has begun (<= t) but its
-  /// device has not been evicted yet: a permanent loss, or a partition
-  /// destined to outlast detection. Checkpoints are suppressed in this
-  /// state so a later rollback always lands on a pre-silence cut.
-  [[nodiscard]] bool undetected_loss(sim::SimTime t) const {
-    if (!monitor_.active()) return false;
-    for (int d = 0; d < devices_; ++d) {
-      if (dead_[d]) continue;
-      if (monitor_.fence_at(d) < sim::SimTime::max() &&
-          monitor_.fence_origin(d) <= t) {
-        return true;
-      }
-    }
-    return false;
-  }
-
   sim::SimTime take_checkpoint(sim::SimTime barrier) {
     fault::Checkpoint ck;
     ck.round = current_round();
     ck.devices.resize(devices_);
-    sim::SimTime worst;
     for (int d = 0; d < devices_; ++d) {
       ck.devices[d].bytes = snapshot_device(d);
-      const auto n = ck.devices[d].bytes.size();
-      const sim::SimTime t =
-          config_.checkpoint.write_latency + net_.device_to_host(n) +
-          sim::SimTime{static_cast<double>(n) / config_.checkpoint.disk_bw};
-      worst = sim::max(worst, t);  // devices snapshot in parallel
     }
-    // kCheckpointBitFlip: corrupt the serialized blob *after* the
-    // write-side checksum was computed, so the corruption rides to disk
-    // undetected unless the policy's read-back verification is on.
-    if (injector_.has_sdc()) {
-      const auto& flips = injector_.checkpoint_flips();
-      for (std::size_t i = 0; i < flips.size(); ++i) {
-        if (ckpt_flip_done_[i] != 0 || flips[i].at > barrier) continue;
-        ckpt_flip_done_[i] = 1;
-        const int fd = flips[i].device;
-        if (fd < 0 || fd >= devices_ || dead_[fd]) continue;
-        auto& bytes = ck.devices[fd].bytes;
-        if (bytes.empty()) continue;
-        const std::uint64_t h = util::fnv1a64_value(
-            static_cast<std::uint64_t>(ck.round) |
-            (static_cast<std::uint64_t>(fd) << 32));
-        const std::uint64_t pos = h % (bytes.size() * 8);
-        bytes[pos / 8] = static_cast<char>(
-            static_cast<unsigned char>(bytes[pos / 8]) ^
-            static_cast<unsigned char>(1u << (pos % 8)));
-        fault_global_.sdc_injected += 1;
-        fault_global_.sdc_for(fd).checkpoint_flips += 1;
-      }
-    }
-    fault_global_.checkpoints_taken += 1;
-    fault_global_.checkpoint_bytes += ck.total_bytes();
-    fault_global_.checkpoint_time += worst;
-    rt_scope().span(obs::SpanKind::kCheckpoint, "checkpoint", barrier,
-                    barrier + worst, ck.total_bytes(), ck.round);
-    flight().record(obs::FlightKind::kCheckpoint, -1, ck.round,
-                    static_cast<std::int64_t>(ck.total_bytes()), "checkpoint",
-                    barrier.seconds());
-    if (m_checkpoints_ != nullptr) m_checkpoints_->inc();
-    if (ckpt_store_.persistent()) ckpt_store_.save(ck);
-    // Read-back verification: re-snapshot the (still clean) live state
-    // and compare it against what was just written, so a corrupt blob
-    // is caught while the clean source exists — not at restore time.
-    if (injector_.has_sdc() && config_.audit.enabled() &&
-        config_.audit.check_checkpoints) {
+    sim::SimTime worst = write_checkpoint(ck, barrier);
+    if (verifies_checkpoints()) {
       bool rewrite = false;
       for (int d = 0; d < devices_; ++d) {
         if (dead_[d]) continue;
-        std::vector<char> fresh = snapshot_device(d);
-        worst = sim::max(worst,
-                         sim::SimTime{static_cast<double>(fresh.size()) /
-                                      config_.checkpoint.disk_bw});
-        if (fresh == ck.devices[d].bytes) continue;
-        fault_global_.sdc_detected += 1;
-        fault_global_.sdc_for(d).checkpoint_violations += 1;
-        if (m_sdc_detected_ != nullptr) m_sdc_detected_->inc();
-        if (config_.audit.repairs()) {
-          // Repair: discard the corrupt blob and rewrite it from the
-          // clean live state (a copy-from-clean-source repair).
-          ck.devices[d].bytes = std::move(fresh);
-          fault_global_.sdc_repaired += 1;
-          fault_global_.sdc_for(d).repairs_mirror += 1;
-          if (m_sdc_repaired_ != nullptr) m_sdc_repaired_->inc();
-          rewrite = true;
-        }
+        if (read_back(ck, d, snapshot_device(d), worst)) rewrite = true;
       }
       if (rewrite && ckpt_store_.persistent()) ckpt_store_.save(ck);
     }
@@ -1251,17 +670,6 @@ class Executor {
   }
 
   // ---- silent-data-corruption auditing (DESIGN.md §13) -------------------
-  /// Flips bit `bit % width` of `v` through its byte representation
-  /// (works for integral and floating label types alike).
-  template <typename T>
-  static void flip_bit(T& v, int bit) {
-    unsigned char bytes[sizeof(T)];
-    std::memcpy(bytes, &v, sizeof(T));
-    const unsigned b = static_cast<unsigned>(bit) % (sizeof(T) * 8);
-    bytes[b / 8] ^= static_cast<unsigned char>(1u << (b % 8));
-    std::memcpy(&v, bytes, sizeof(T));
-  }
-
   /// kKernelSdc: a window where the device's label updates are silently
   /// perturbed. Post-kernel, flip one bit of one *mirror* entry of the
   /// broadcast field (the replicated surface the digests cross-check);
@@ -1278,7 +686,8 @@ class Executor {
     const VertexId victim =
         lg.num_masters +
         static_cast<VertexId>((h >> 8) % (lg.num_local - lg.num_masters));
-    flip_bit(vals[victim], static_cast<int>(h % (sizeof(BV) * 8)));
+    flip_bit(&vals[victim], sizeof(BV),
+             static_cast<int>(h % (sizeof(BV) * 8)));
     fault_per_dev_[d].sdc_injected += 1;
     fault_per_dev_[d].sdc_for(d).kernel_events += 1;
   }
@@ -1306,7 +715,7 @@ class Executor {
       const auto it = lg.g2l.find(static_cast<VertexId>(f.vertex));
       if (it == lg.g2l.end()) continue;  // not resident on this layout
       auto vals = program_.bcast_mirror_dst(devs_[f.device].state);
-      flip_bit(vals[it->second], f.bit);
+      flip_bit(&vals[it->second], sizeof(BV), f.bit);
       fault_global_.sdc_injected += 1;
       fault_global_.sdc_for(f.device).label_flips += 1;
       flight().record(obs::FlightKind::kFault, f.device,
@@ -1316,14 +725,6 @@ class Executor {
         sdc_lag_.note_injection(f.device, audit_boundary_);
       }
     }
-  }
-
-  /// Audit-population skip rule: dead, BSP-silent, or fence-doomed
-  /// devices are out (their proxies are stale by design — a pending
-  /// eviction, not corruption — and would read as false digest splits).
-  [[nodiscard]] bool audit_skip(int d) const {
-    if (dead_[d] != 0 || silent_[d] != 0) return true;
-    return monitor_.active() && monitor_.fence_at(d) < sim::SimTime::max();
   }
 
   /// One audit pass at simulated time `t` over every live device,
@@ -1528,35 +929,17 @@ class Executor {
       if (last_ckpt_.valid() &&
           last_ckpt_.round != last_sdc_rollback_round_) {
         last_sdc_rollback_round_ = last_ckpt_.round;
-        sim::SimTime worst;
-        for (int d = 0; d < devices_; ++d) {
-          if (dead_[d] != 0) continue;
-          restore_device(d, last_ckpt_.devices[d].bytes);
-          const auto n = last_ckpt_.devices[d].bytes.size();
-          worst = sim::max(worst,
-                           config_.checkpoint.restore_latency +
-                               sim::SimTime{static_cast<double>(n) /
-                                            config_.checkpoint.disk_bw} +
-                               net_.host_to_device(n));
-        }
-        fault_global_.rollbacks += 1;
+        const sim::SimTime worst = restore_checkpoint(/*live_only=*/true);
         if (current_round() > last_ckpt_.round) {
           fault_global_.reexecuted_rounds +=
               current_round() - last_ckpt_.round;
         }
-        fault_global_.recovery_time += worst;
         fault_global_.sdc_repaired += 1;
         for (const int d : blamed) {
           fault_global_.sdc_for(d).repairs_rollback += 1;
         }
-        if (m_rollbacks_ != nullptr) m_rollbacks_->inc();
         if (m_sdc_repaired_ != nullptr) m_sdc_repaired_->inc();
-        rt_scope().span(obs::SpanKind::kCheckpoint, "sdc.rollback", t,
-                        t + worst, last_ckpt_.total_bytes(),
-                        last_ckpt_.round);
-        flight().record(obs::FlightKind::kRollback, -1, last_ckpt_.round,
-                        static_cast<std::int64_t>(last_ckpt_.total_bytes()),
-                        "sdc_rollback", t.seconds());
+        note_rollback(t, worst, "sdc.rollback", "sdc_rollback");
         force_sync_rounds_ = std::max(force_sync_rounds_, 2);
         return t + worst;
       }
@@ -1566,21 +949,7 @@ class Executor {
     sim::SimTime worst;
     for (int d = 0; d < devices_; ++d) {
       if (dead_[d] != 0) continue;
-      Dev& dev = devs_[d];
-      const auto& lg = dg().part(d);
-      dev.state = typename Program::DeviceState{};
-      dev.dirty_r.clear();
-      dev.dirty_b.clear();
-      dev.frontier.clear();
-      dev.in_frontier.clear();
-      program_.init(lg, dev.state, *dev.ctx);
-      merge_activations(dev);
-      dev.progress = !dev.frontier.empty();
-      const std::uint64_t label_bytes =
-          static_cast<std::uint64_t>(lg.num_local) *
-          (sizeof(RV) + sizeof(BV));
-      worst = sim::max(worst, config_.checkpoint.restore_latency +
-                                  net_.host_to_device(label_bytes));
+      worst = sim::max(worst, cold_reinit(d));
     }
     // The pre-restart checkpoint belongs to the abandoned execution.
     last_ckpt_ = fault::Checkpoint{};
@@ -1634,28 +1003,10 @@ class Executor {
     }
     if constexpr (kCheckpointable) {
       if (last_ckpt_.valid()) {
-        sim::SimTime worst;
-        for (int d = 0; d < devices_; ++d) {
-          restore_device(d, last_ckpt_.devices[d].bytes);
-          const auto n = last_ckpt_.devices[d].bytes.size();
-          const sim::SimTime t =
-              config_.checkpoint.restore_latency +
-              sim::SimTime{static_cast<double>(n) /
-                           config_.checkpoint.disk_bw} +
-              net_.host_to_device(n);
-          worst = sim::max(worst, t);
-        }
-        fault_global_.rollbacks += 1;
+        const sim::SimTime worst = restore_checkpoint(/*live_only=*/false);
         fault_global_.reexecuted_rounds +=
             stats_.global_rounds - last_ckpt_.round;
-        fault_global_.recovery_time += worst;
-        rt_scope().span(obs::SpanKind::kCheckpoint, "rollback", barrier,
-                        barrier + worst, last_ckpt_.total_bytes(),
-                        last_ckpt_.round);
-        flight().record(obs::FlightKind::kRollback, -1, last_ckpt_.round,
-                        static_cast<std::int64_t>(last_ckpt_.total_bytes()),
-                        "rollback", barrier.seconds());
-        if (m_rollbacks_ != nullptr) m_rollbacks_->inc();
+        note_rollback(barrier, worst, "rollback", "rollback");
         force_sync_rounds_ = std::max(force_sync_rounds_, 1);
         return barrier + worst;
       }
@@ -1684,16 +1035,7 @@ class Executor {
   /// idempotent programs (min-label bfs/sssp/cc); returns the modeled
   /// re-init cost.
   sim::SimTime degraded_recover(int cd) {
-    Dev& dev = devs_[cd];
-    const auto& lg = dg().part(cd);
-    dev.state = typename Program::DeviceState{};
-    dev.dirty_r.clear();
-    dev.dirty_b.clear();
-    dev.frontier.clear();
-    dev.in_frontier.clear();
-    program_.init(lg, dev.state, *dev.ctx);
-    merge_activations(dev);
-    dev.progress = !dev.frontier.empty();
+    const sim::SimTime cost = cold_reinit(cd);
     for (int o = 0; o < devices_; ++o) {
       if (o == cd) continue;
       bool marked = false;
@@ -1708,13 +1050,49 @@ class Executor {
       if (marked) devs_[o].flush_pending = true;
     }
     fault_global_.degraded_recoveries += 1;
-    const std::uint64_t label_bytes =
-        static_cast<std::uint64_t>(lg.num_local) * (sizeof(RV) + sizeof(BV));
-    return config_.checkpoint.restore_latency +
-           net_.host_to_device(label_bytes);
+    return cost;
   }
 
   // ---- permanent device loss: eviction + master re-homing ---------------
+  /// Per-vertex archives of every live device's state, indexed
+  /// [device][old local id].
+  using Harvest = std::vector<std::vector<std::vector<char>>>;
+
+  /// Harvests every live device's per-vertex copies (old local-id
+  /// space), skipping device `skip` (-1: none).
+  Harvest harvest_states(int skip) {
+    Harvest harvest(static_cast<std::size_t>(devices_));
+    if constexpr (kRehomable) {
+      for (int d = 0; d < devices_; ++d) {
+        if (dead_[d] || d == skip) continue;
+        const auto& lg = dg().part(d);
+        auto& slots = harvest[static_cast<std::size_t>(d)];
+        slots.resize(lg.num_local);
+        for (VertexId v = 0; v < lg.num_local; ++v) {
+          partition::ByteWriter w;
+          devs_[d].state.archive_vertex(w, v);
+          slots[v] = w.take();
+        }
+      }
+    }
+    return harvest;
+  }
+
+  /// A stale-layout checkpoint cannot be restored onto a rebuilt
+  /// layout: replace it immediately with a post-rebuild snapshot (when
+  /// checkpointing is on) and keep BSP alive for the re-feed sweep.
+  /// Returns `cost` plus the snapshot's.
+  sim::SimTime checkpoint_rebuilt(sim::SimTime now, sim::SimTime cost) {
+    last_ckpt_ = fault::Checkpoint{};
+    if constexpr (kCheckpointable) {
+      if (config_.checkpoint.interval_rounds > 0) {
+        cost = take_checkpoint(now + cost) - now;
+      }
+    }
+    force_sync_rounds_ = std::max(force_sync_rounds_, 2);
+    return cost;
+  }
+
   /// Evicts permanently lost device `cd` at time `now`: optionally rolls
   /// every survivor back to the last pre-loss checkpoint (which also
   /// resurrects the lost device's state as a migration source), re-reads
@@ -1729,14 +1107,7 @@ class Executor {
   /// per-vertex state is harvested directly and detection latency is
   /// zero. The run loses its capacity, never its data.
   sim::SimTime evict_device(int cd, sim::SimTime now, bool graceful = false) {
-    // Silence origin: the loss instant, or — for a partition that
-    // outlasted detection — the start of the covering window (the
-    // device never "died"; lost_at is +inf then).
-    const sim::SimTime lost_at =
-        graceful ? now
-        : monitor_.fence_origin(cd) < sim::SimTime::max()
-            ? monitor_.fence_origin(cd)
-            : injector_.lost_at(cd);
+    const sim::SimTime lost_at = silence_origin(cd, now, graceful);
     const std::uint32_t cur_round = current_round();
     sim::SimTime cost;
 
@@ -1748,19 +1119,7 @@ class Executor {
     bool have_lost_state = graceful && kRehomable;
     if constexpr (kCheckpointable && kRehomable) {
       if (!graceful && last_ckpt_.valid()) {
-        sim::SimTime worst;
-        for (int d = 0; d < devices_; ++d) {
-          if (dead_[d]) continue;
-          restore_device(d, last_ckpt_.devices[d].bytes);
-          const auto n = last_ckpt_.devices[d].bytes.size();
-          worst = sim::max(
-              worst,
-              config_.checkpoint.restore_latency +
-                  sim::SimTime{static_cast<double>(n) /
-                               config_.checkpoint.disk_bw} +
-                  net_.host_to_device(n));
-        }
-        fault_global_.rollbacks += 1;
+        const sim::SimTime worst = restore_checkpoint(/*live_only=*/true);
         if (cur_round > last_ckpt_.round) {
           fault_global_.reexecuted_rounds += cur_round - last_ckpt_.round;
         }
@@ -1771,23 +1130,8 @@ class Executor {
 
     // 2. Harvest every surviving per-vertex copy (old local-id space);
     // the lost device contributes only its rolled-back snapshot.
-    std::vector<std::vector<std::vector<char>>> harvest(
-        static_cast<std::size_t>(devices_));
+    const Harvest harvest = harvest_states(have_lost_state ? -1 : cd);
     const partition::DistGraph& old_dg = dg();
-    if constexpr (kRehomable) {
-      for (int d = 0; d < devices_; ++d) {
-        if (dead_[d]) continue;
-        if (d == cd && !have_lost_state) continue;
-        const auto& lg = old_dg.part(d);
-        auto& slots = harvest[static_cast<std::size_t>(d)];
-        slots.resize(lg.num_local);
-        for (VertexId v = 0; v < lg.num_local; ++v) {
-          partition::ByteWriter w;
-          devs_[d].state.archive_vertex(w, v);
-          slots[v] = w.take();
-        }
-      }
-    }
 
     // 3. The lost subgraph: durable checksummed partition store when
     // configured (modeled disk re-read), else the simulator's in-memory
@@ -1803,39 +1147,9 @@ class Executor {
     }
 
     // 4. Capacity-aware re-homing plan + layout rebuild.
-    std::vector<std::uint64_t> free_bytes(
-        static_cast<std::size_t>(devices_), 0);
-    for (int d = 0; d < devices_; ++d) {
-      if (d == cd || dead_[d]) continue;
-      const auto& mem = *devs_[d].memory;
-      free_bytes[static_cast<std::size_t>(d)] =
-          mem.capacity() - mem.in_use();
-    }
-    partition::RehomeResult plan =
-        partition::rehome_partition(old_dg, cd, lost_part, free_bytes, dead_);
-    auto next_dg =
-        std::make_unique<partition::DistGraph>(std::move(plan.dg));
-    auto next_sync = std::make_unique<comm::SyncStructure>(*next_dg);
-    // Keep the previous owned structures alive until the per-device
-    // rebuild (which still reads the old layout) finishes.
-    auto prev_dg = std::move(rehomed_dg_);
-    auto prev_sync = std::move(rehomed_sync_);
-    rehomed_dg_ = std::move(next_dg);
-    rehomed_sync_ = std::move(next_sync);
-    dgp_ = rehomed_dg_.get();
-    syncp_ = rehomed_sync_.get();
-    dead_[cd] = 1;
-    silent_[cd] = 1;
-    if (monitor_.active()) monitor_.mark_evicted(cd);
-    gray_.retire(cd);
-    // New layout epoch: anything sealed before this instant indexes
-    // exchange lists that are about to be rebuilt, and is fence-
-    // rejected on receipt.
-    ++epoch_;
-    // Re-homing reconciles monotone ledgers (e.g. pagerank's consumed
-    // mass), which breaks the exact ABFT invariants; digest + checkpoint
-    // auditing stay sound on the new layout.
-    invariants_valid_ = false;
+    partition::RehomeResult plan = partition::rehome_partition(
+        old_dg, cd, lost_part, free_bytes(cd), dead_);
+    const RetiredLayout prev = install_layout(std::move(plan.dg), cd);
 
     // 5. Rebuild every device's runtime on the new local-id space.
     for (int d = 0; d < devices_; ++d) {
@@ -1846,21 +1160,7 @@ class Executor {
     // 6. Account the migration: state bytes cross the interconnect
     // (representative survivor pair), and every survivor re-uploads its
     // rebuilt sync metadata / address translations.
-    int s0 = -1;
-    int s1 = -1;
-    for (int d = 0; d < devices_ && s1 < 0; ++d) {
-      if (dead_[d]) continue;
-      (s0 < 0 ? s0 : s1) = d;
-    }
-    if (s0 >= 0 && s1 >= 0) {
-      cost = cost + net_.host_to_host(s0, s1, plan.migrated_bytes);
-    }
-    sim::SimTime meta;
-    for (int d = 0; d < devices_; ++d) {
-      if (dead_[d]) continue;
-      meta = sim::max(meta, net_.host_to_device(sync().metadata_bytes(d)));
-    }
-    cost = cost + meta;
+    cost = add_migration_cost(cost, -1, plan.migrated_bytes);
 
     fault_global_.evicted_devices += 1;
     if (monitor_.fence_from_partition(cd)) {
@@ -1872,15 +1172,7 @@ class Executor {
         fault_global_.detection_latency + (now - lost_at);
     fault_global_.recovery_time = fault_global_.recovery_time + cost;
 
-    // A stale-layout checkpoint cannot be restored onto the new layout;
-    // replace it immediately with a post-recovery snapshot.
-    last_ckpt_ = fault::Checkpoint{};
-    if constexpr (kCheckpointable) {
-      if (config_.checkpoint.interval_rounds > 0) {
-        cost = take_checkpoint(now + cost) - now;
-      }
-    }
-    force_sync_rounds_ = std::max(force_sync_rounds_, 2);
+    cost = checkpoint_rebuilt(now, cost);
     rt_scope().span(obs::SpanKind::kRehome, graceful ? "evict.gray" : "rehome",
                     now, now + cost, plan.rehomed.size(),
                     plan.orphaned.size());
@@ -1896,12 +1188,6 @@ class Executor {
   }
 
   // ---- gray-failure mitigation: online shard migration -----------------
-  [[nodiscard]] int live_devices() const {
-    int n = 0;
-    for (int d = 0; d < devices_; ++d) n += dead_[d] ? 0 : 1;
-    return n;
-  }
-
   /// Executes one GrayFailureMonitor action at a safe cut: online shard
   /// migration off a degraded-but-live device, or — once the monitor
   /// declares it hopeless under kEvict — a graceful live eviction.
@@ -1940,18 +1226,11 @@ class Executor {
     } else {
       const int cd = a.device;
       const partition::DistGraph& old_dg = dg();
-      std::vector<std::uint64_t> free_bytes(
-          static_cast<std::size_t>(devices_), 0);
-      for (int d = 0; d < devices_; ++d) {
-        if (d == cd || dead_[d]) continue;
-        const auto& mem = *devs_[d].memory;
-        free_bytes[static_cast<std::size_t>(d)] =
-            mem.capacity() - mem.in_use();
-      }
       partition::RebalanceResult plan;
       try {
         plan = partition::rebalance_partition(
-            old_dg, cd, gray_.policy().migrate_fraction, free_bytes, dead_);
+            old_dg, cd, gray_.policy().migrate_fraction, free_bytes(cd),
+            dead_);
       } catch (const std::exception&) {
         // No live device can absorb the hottest shards (pressure
         // everywhere): spend the budget so the monitor cools down and
@@ -1983,34 +1262,9 @@ class Executor {
 
       // Harvest every live device's per-vertex state (old local-id
       // space); the degraded device is alive, so its copies are current.
-      std::vector<std::vector<std::vector<char>>> harvest(
-          static_cast<std::size_t>(devices_));
-      for (int d = 0; d < devices_; ++d) {
-        if (dead_[d]) continue;
-        const auto& lg = old_dg.part(d);
-        auto& slots = harvest[static_cast<std::size_t>(d)];
-        slots.resize(lg.num_local);
-        for (VertexId v = 0; v < lg.num_local; ++v) {
-          partition::ByteWriter w;
-          devs_[d].state.archive_vertex(w, v);
-          slots[v] = w.take();
-        }
-      }
+      const Harvest harvest = harvest_states(-1);
       const partition::LocalGraph& hot_part = old_dg.part(cd);
-
-      auto next_dg =
-          std::make_unique<partition::DistGraph>(std::move(plan.dg));
-      auto next_sync = std::make_unique<comm::SyncStructure>(*next_dg);
-      auto prev_dg = std::move(rehomed_dg_);
-      auto prev_sync = std::move(rehomed_sync_);
-      rehomed_dg_ = std::move(next_dg);
-      rehomed_sync_ = std::move(next_sync);
-      dgp_ = rehomed_dg_.get();
-      syncp_ = rehomed_sync_.get();
-      // New layout epoch: traffic sealed before this instant indexes
-      // exchange lists that no longer exist and is fence-rejected.
-      ++epoch_;
-      invariants_valid_ = false;  // ledger reconciliation (see evict)
+      const RetiredLayout prev = install_layout(std::move(plan.dg), -1);
       for (int d = 0; d < devices_; ++d) {
         if (dead_[d]) continue;
         rebuild_device(d, cd, old_dg, hot_part, harvest,
@@ -2020,20 +1274,8 @@ class Executor {
       // Account the migration: moved state crosses the interconnect
       // from the degraded device, and every live device re-uploads its
       // rebuilt sync metadata.
-      sim::SimTime cost;
-      int tgt = -1;
-      for (int d = 0; d < devices_ && tgt < 0; ++d) {
-        if (d != cd && !dead_[d]) tgt = d;
-      }
-      if (tgt >= 0) {
-        cost = cost + net_.host_to_host(cd, tgt, plan.migrated_bytes);
-      }
-      sim::SimTime meta;
-      for (int d = 0; d < devices_; ++d) {
-        if (dead_[d]) continue;
-        meta = sim::max(meta, net_.host_to_device(sync().metadata_bytes(d)));
-      }
-      cost = cost + meta;
+      sim::SimTime cost = add_migration_cost(sim::SimTime{}, cd,
+                                             plan.migrated_bytes);
 
       fault_global_.gray_migrations += 1;
       fault_global_.gray_migrated_masters += plan.moved.size();
@@ -2045,15 +1287,7 @@ class Executor {
       if (m_gray_migrations_ != nullptr) m_gray_migrations_->inc();
       gray_.note_migration(cd);
 
-      // A stale-layout checkpoint cannot restore onto the new layout;
-      // replace it with a post-migration snapshot immediately.
-      last_ckpt_ = fault::Checkpoint{};
-      if constexpr (kCheckpointable) {
-        if (config_.checkpoint.interval_rounds > 0) {
-          cost = take_checkpoint(now + cost) - now;
-        }
-      }
-      force_sync_rounds_ = std::max(force_sync_rounds_, 2);
+      cost = checkpoint_rebuilt(now, cost);
       rt_scope().span(obs::SpanKind::kRehome, "migrate", now, now + cost,
                       plan.moved.size(), static_cast<std::uint64_t>(cd));
       flight().record(obs::FlightKind::kRepair, cd,
@@ -2073,28 +1307,13 @@ class Executor {
   /// output values continue exactly.
   void rebuild_device(int d, int cd, const partition::DistGraph& old_dg,
                       const partition::LocalGraph& lost_part,
-                      const std::vector<std::vector<std::vector<char>>>&
-                          harvest,
-                      bool have_lost_state) {
+                      const Harvest& harvest, bool have_lost_state) {
     Dev& dev = devs_[d];
     const auto& nlg = dg().part(d);
     const auto& olg = old_dg.part(d);
-    dev.ctx = std::make_unique<RoundCtx>(nlg.num_local);
-    dev.dirty_r = comm::Bitset{};
-    dev.dirty_r.resize(nlg.num_local);
-    dev.dirty_b = comm::Bitset{};
-    dev.dirty_b.resize(nlg.num_local);
-    dev.frontier.clear();
-    dev.in_frontier = comm::Bitset{};
-    dev.in_frontier.resize(nlg.num_local);
-    dev.ctx->attach(&dev.dirty_r, &dev.dirty_b);
-    dev.ctx->attach_obs(dev_scope(d));
     // Every channel restarts at sequence zero on the new layout; the
     // epoch bump fences anything sealed against the old numbering.
-    dev.seq_out.assign(static_cast<std::size_t>(devices_) * 2, 0);
-    dev.seq_in.assign(static_cast<std::size_t>(devices_) * 2, 0);
-    dev.state = typename Program::DeviceState{};
-    program_.init(nlg, dev.state, *dev.ctx);
+    init_device(d, nlg);
 
     if constexpr (kRehomable) {
       const auto& own = harvest[static_cast<std::size_t>(d)];
@@ -2153,17 +1372,7 @@ class Executor {
 
     // Re-charge DeviceMemory against the new layout, preserving the
     // all-time peak across the swap.
-    stats_.peak_memory[d] =
-        std::max(stats_.peak_memory[d], dev.memory->peak());
-    dev.memory = std::make_unique<sim::DeviceMemory>(
-        d, topo_.spec(d).memory_bytes);
-    if (config_.static_pool_bytes > 0) {
-      dev.memory->reserve_static(config_.static_pool_bytes);
-    }
-    // The fresh DeviceMemory dropped any pressure squat; the next round
-    // boundary re-applies whatever pressure window is still active.
-    pressure_squat_[static_cast<std::size_t>(d)] = 0;
-    charge_memory(d, nlg, *dev.memory);
+    recharge_memory(d, nlg);
   }
 
   /// Round coordinate for checkpoint bookkeeping: global rounds under
@@ -2177,294 +1386,24 @@ class Executor {
     return r;
   }
 
-  /// Extracts all reduce payloads from device d; advances and returns
-  /// the device-ready time via `ready`; stamps message arrivals.
-  void extract_reduce_all(int d, sim::SimTime& ready,
-                          std::vector<Msg<RV>>& out) {
-    const auto sync_scope = prof().scope("sync.extract_reduce");
-    Dev& dev = devs_[d];
-    auto values = program_.reduce_mirror_src(dev.state);
-    sim::SimTime engine = ready;  // downlink copy engine (overlap mode)
-    for (int o = 0; o < devices_; ++o) {
-      if (o == d || silent_[o]) continue;
-      const auto& list = sync().list(d, o, reduce_filter_);
-      if (list.size() == 0) continue;
-      Msg<RV>& slot = out[static_cast<std::size_t>(d) * devices_ + o];
-      comm::Payload<RV>& payload = slot.payload;
-      RSync::extract_reduce(list, values, dev.dirty_r, config_.sync_mode, d,
-                            o, payload);
-      // Empty UO updates are piggybacked on round-control traffic in
-      // Gluon; they carry no modeled cost. AS always ships full lists.
-      if (config_.sync_mode == comm::SyncMode::kUO &&
-          payload.empty_update()) {
-        payload.from = -1;  // nothing sent: the slot stays empty
-        continue;
-      }
-      seal_payload(payload, d, o, fault::MsgKind::kReduce,
-                   stats_.global_rounds);
-      const sim::SimTime s0 = ready;
-      const StageCost cost = send_cost(d, payload, list.size());
-      stats_.device_comm_time[d] += cost.total();
-      const sim::SimTime sent = advance_pipeline(cost, ready, engine);
-      const Delivery del =
-          deliver_link(d, o, payload.bytes, sent, fault::MsgKind::kReduce,
-                       stats_.global_rounds);
-      if (del.arrival == sim::SimTime::max()) {  // fenced at NIC
-        payload.from = -1;
-        continue;
-      }
-      if (del.corrupt) comm::corrupt_payload(payload, del.corrupt_h);
-      slot.arrival = del.arrival;
-      slot.duplicated = del.duplicate;
-      slot.dup_arrival = del.dup_arrival;
-      slot.net_ref =
-          trace_send(d, o, "reduce.extract", "reduce.downlink", "reduce.net",
-                     cost, s0, sent, slot.arrival, slot.payload.bytes);
-    }
-    ready = sim::max(ready, engine);
-  }
-
-  /// Applies all reduce payloads destined to device o in arrival order;
-  /// returns the time o finishes (wait gaps accounted).
-  sim::SimTime apply_reduce_all(int o, sim::SimTime start,
-                                const std::vector<Msg<RV>>& msgs) {
-    const auto sync_scope = prof().scope("sync.apply_reduce");
-    Dev& dev = devs_[o];
-    const auto& lg = dg().part(o);
-    auto values = program_.reduce_master_dst(dev.state);
-    // Gather senders in arrival order (deterministic tie-break by id).
-    std::vector<int>& senders = dev.senders;
-    senders.clear();
-    for (int d = 0; d < devices_; ++d) {
-      if (d != o &&
-          msgs[static_cast<std::size_t>(d) * devices_ + o].payload.from >= 0) {
-        senders.push_back(d);
-      }
-    }
-    std::sort(senders.begin(), senders.end(), [&](int a, int b) {
-      const auto& ma = msgs[static_cast<std::size_t>(a) * devices_ + o];
-      const auto& mb = msgs[static_cast<std::size_t>(b) * devices_ + o];
-      if (ma.arrival != mb.arrival) return ma.arrival < mb.arrival;
-      return a < b;
-    });
-    sim::SimTime t = start;
-    sim::SimTime recv_engine = start;  // apply engine (overlap mode)
-    std::vector<VertexId>& changed = dev.changed;
-    for (int d : senders) {
-      const auto& m = msgs[static_cast<std::size_t>(d) * devices_ + o];
-      // Wire-protocol admission: stale-epoch or already-seen payloads
-      // are rejected at the NIC before any uplink cost is paid.
-      if (admit_payload(o, m.payload, fault::MsgKind::kReduce,
-                        /*allow_hold=*/false, m.arrival) == Admit::kDiscard) {
-        continue;
-      }
-      if (m.arrival > t) {
-        stats_.wait_time[o] += m.arrival - t;
-        const obs::SpanRef waiting =
-            dev_scope(o).span(obs::SpanKind::kWait, "wait.msg", t, m.arrival,
-                              0, static_cast<std::uint64_t>(d));
-        if (tracer_ != nullptr) tracer_->link(m.net_ref, waiting);
-        t = m.arrival;
-      }
-      const sim::SimTime s0 = t;
-      const StageCost cost = receive_cost(o, m.payload);
-      stats_.device_comm_time[o] += cost.total();
-      t = advance_pipeline(cost, t, recv_engine);
-      trace_recv(o, d, "reduce.uplink", "reduce.apply", cost, s0, t,
-                 m.payload.bytes, m.net_ref);
-      changed.clear();
-      RSync::apply_reduce(sync().list(d, o, reduce_filter_), m.payload,
-                          values, dev.dirty_b, &changed);
-      comm_per_dev_[o].reduce_values += m.payload.count();
-      for (VertexId v : changed) {
-        program_.on_update(lg, dev.state, v, UpdateKind::kReduce, *dev.ctx);
-      }
-      merge_activations(dev);
-      if (m.duplicated) {
-        if (config_.wire_protocol) {
-          // The ghost's sequence number was consumed by the original:
-          // discarded on arrival at zero modeled cost.
-          fault_per_dev_[o].duplicates_discarded += 1;
-          if (m_protocol_discards_ != nullptr) m_protocol_discards_->inc();
-        } else {
-          // Unprotected receiver re-applies the ghost copy: idempotent
-          // for min-style programs, double-counting for accumulators.
-          if (m.dup_arrival > t) {
-            stats_.wait_time[o] += m.dup_arrival - t;
-            t = m.dup_arrival;
-          }
-          const StageCost gcost = receive_cost(o, m.payload);
-          stats_.device_comm_time[o] += gcost.total();
-          t = advance_pipeline(gcost, t, recv_engine);
-          changed.clear();
-          RSync::apply_reduce(sync().list(d, o, reduce_filter_), m.payload,
-                              values, dev.dirty_b, &changed);
-          comm_per_dev_[o].reduce_values += m.payload.count();
-          for (VertexId v : changed) {
-            program_.on_update(lg, dev.state, v, UpdateKind::kReduce,
-                               *dev.ctx);
-          }
-          merge_activations(dev);
-        }
-      }
-    }
-    return sim::max(t, recv_engine);
-  }
-
-  sim::SimTime extract_bcast_all(int d, sim::SimTime start,
-                                 std::vector<Msg<BV>>& out) {
-    const auto sync_scope = prof().scope("sync.extract_broadcast");
-    Dev& dev = devs_[d];
-    auto values = program_.bcast_master_src(dev.state);
-    sim::SimTime ready = start;
-    sim::SimTime engine = start;
-    for (int o = 0; o < devices_; ++o) {
-      if (o == d || silent_[o]) continue;
-      // Broadcast flows master(d) -> mirrors(o): list indexed (o, d).
-      const auto& list = sync().list(o, d, bcast_filter_);
-      if (list.size() == 0) continue;
-      Msg<BV>& slot = out[static_cast<std::size_t>(d) * devices_ + o];
-      comm::Payload<BV>& payload = slot.payload;
-      BSync::extract_broadcast(list, values, dev.dirty_b, config_.sync_mode,
-                               d, o, payload);
-      if (config_.sync_mode == comm::SyncMode::kUO &&
-          payload.empty_update()) {
-        payload.from = -1;  // nothing sent: the slot stays empty
-        continue;
-      }
-      seal_payload(payload, d, o, fault::MsgKind::kBroadcast,
-                   stats_.global_rounds);
-      const sim::SimTime s0 = ready;
-      const StageCost cost = send_cost(d, payload, list.size());
-      stats_.device_comm_time[d] += cost.total();
-      const sim::SimTime sent = advance_pipeline(cost, ready, engine);
-      const Delivery del =
-          deliver_link(d, o, payload.bytes, sent, fault::MsgKind::kBroadcast,
-                       stats_.global_rounds);
-      if (del.arrival == sim::SimTime::max()) {  // fenced at NIC
-        payload.from = -1;
-        continue;
-      }
-      if (del.corrupt) comm::corrupt_payload(payload, del.corrupt_h);
-      slot.arrival = del.arrival;
-      slot.duplicated = del.duplicate;
-      slot.dup_arrival = del.dup_arrival;
-      slot.net_ref =
-          trace_send(d, o, "bcast.extract", "bcast.downlink", "bcast.net",
-                     cost, s0, sent, slot.arrival, slot.payload.bytes);
-    }
-    return sim::max(ready, engine);
-  }
-
-  sim::SimTime apply_bcast_all(int o, sim::SimTime start,
-                               const std::vector<Msg<BV>>& msgs) {
-    const auto sync_scope = prof().scope("sync.apply_broadcast");
-    Dev& dev = devs_[o];
-    const auto& lg = dg().part(o);
-    auto values = program_.bcast_mirror_dst(dev.state);
-    std::vector<int>& senders = dev.senders;
-    senders.clear();
-    for (int d = 0; d < devices_; ++d) {
-      if (d != o &&
-          msgs[static_cast<std::size_t>(d) * devices_ + o].payload.from >= 0) {
-        senders.push_back(d);
-      }
-    }
-    std::sort(senders.begin(), senders.end(), [&](int a, int b) {
-      const auto& ma = msgs[static_cast<std::size_t>(a) * devices_ + o];
-      const auto& mb = msgs[static_cast<std::size_t>(b) * devices_ + o];
-      if (ma.arrival != mb.arrival) return ma.arrival < mb.arrival;
-      return a < b;
-    });
-    sim::SimTime t = start;
-    sim::SimTime recv_engine = start;  // apply engine (overlap mode)
-    std::vector<VertexId>& changed = dev.changed;
-    for (int d : senders) {
-      const auto& m = msgs[static_cast<std::size_t>(d) * devices_ + o];
-      if (admit_payload(o, m.payload, fault::MsgKind::kBroadcast,
-                        /*allow_hold=*/false, m.arrival) == Admit::kDiscard) {
-        continue;
-      }
-      if (m.arrival > t) {
-        stats_.wait_time[o] += m.arrival - t;
-        const obs::SpanRef waiting =
-            dev_scope(o).span(obs::SpanKind::kWait, "wait.msg", t, m.arrival,
-                              0, static_cast<std::uint64_t>(d));
-        if (tracer_ != nullptr) tracer_->link(m.net_ref, waiting);
-        t = m.arrival;
-      }
-      const sim::SimTime s0 = t;
-      const StageCost cost = receive_cost(o, m.payload);
-      stats_.device_comm_time[o] += cost.total();
-      t = advance_pipeline(cost, t, recv_engine);
-      trace_recv(o, d, "bcast.uplink", "bcast.apply", cost, s0, t,
-                 m.payload.bytes, m.net_ref);
-      changed.clear();
-      BSync::apply_broadcast(sync().list(o, d, bcast_filter_), m.payload,
-                             values, &changed);
-      comm_per_dev_[o].broadcast_values += m.payload.count();
-      for (VertexId v : changed) {
-        program_.on_update(lg, dev.state, v, UpdateKind::kBroadcast,
-                           *dev.ctx);
-      }
-      merge_activations(dev);
-      if (m.duplicated) {
-        if (config_.wire_protocol) {
-          fault_per_dev_[o].duplicates_discarded += 1;
-          if (m_protocol_discards_ != nullptr) m_protocol_discards_->inc();
-        } else {
-          // Unprotected: a stale assign-broadcast ghost re-applies; for
-          // monotone labels it is idempotent, otherwise it resurrects
-          // old values — the defect sequence numbers exist to prevent.
-          if (m.dup_arrival > t) {
-            stats_.wait_time[o] += m.dup_arrival - t;
-            t = m.dup_arrival;
-          }
-          const StageCost gcost = receive_cost(o, m.payload);
-          stats_.device_comm_time[o] += gcost.total();
-          t = advance_pipeline(gcost, t, recv_engine);
-          changed.clear();
-          BSync::apply_broadcast(sync().list(o, d, bcast_filter_), m.payload,
-                                 values, &changed);
-          comm_per_dev_[o].broadcast_values += m.payload.count();
-          for (VertexId v : changed) {
-            program_.on_update(lg, dev.state, v, UpdateKind::kBroadcast,
-                               *dev.ctx);
-          }
-          merge_activations(dev);
-        }
-      }
-    }
-    return sim::max(t, recv_engine);
-  }
-
-  /// Moves pending activations from the ctx into the frontier with
-  /// cross-source deduplication.
-  void merge_activations(Dev& dev) {
-    std::vector<VertexId>& extra = dev.activations;
-    dev.ctx->take_next(extra);  // swaps buffers with the ctx
-    for (VertexId v : extra) {
-      if (!dev.in_frontier.test(v)) {
-        dev.in_frontier.set(v);
-        dev.frontier.push_back(v);
-      }
-    }
-  }
-
   // =========================================================================
   // BASP: per-device local rounds over the discrete-event queue
   // (Gluon-Async, Section III-B). Devices run ahead with stale values;
   // straggler decoupling and redundant work emerge from the schedule.
   // =========================================================================
   struct BaspInbox {
-    std::deque<Msg<RV>> reduce;
-    std::deque<Msg<BV>> bcast;
-    // Reorder buffer: sequence-gapped arrivals parked until their
-    // predecessors land (wire protocol on; wiped with the inbox on
-    // eviction, which is what makes the epoch fence safe).
-    std::vector<Msg<RV>> held_reduce;
-    std::vector<Msg<BV>> held_bcast;
+    Lane<RV> reduce;
+    Lane<BV> bcast;
   };
+
+  template <bool B>
+  static Lane<Val<B>>& lane(BaspInbox& inbox) {
+    if constexpr (B) {
+      return inbox.bcast;
+    } else {
+      return inbox.reduce;
+    }
+  }
 
   void run_basp() {
     sim::EventQueue queue;
@@ -2499,12 +1438,7 @@ class Executor {
       queue.schedule(config_.health.heartbeat_interval,
                      [this, &queue](sim::SimTime t) { basp_gray(t, queue); });
     }
-    for (int d = 0; d < devices_; ++d) {
-      queue.schedule(sim::SimTime::zero(),
-                     [this, d, &queue](sim::SimTime t) {
-                       basp_step(d, t, queue);
-                     });
-    }
+    for (int d = 0; d < devices_; ++d) step(d, sim::SimTime::zero(), queue);
     std::uint64_t safety = 0;
     const std::uint64_t step_limit =
         static_cast<std::uint64_t>(config_.max_rounds) * devices_ * 4;
@@ -2556,10 +1490,23 @@ class Executor {
       // All devices are parked and all inboxes drained; the token must
       // now complete two clean circulations. If it cannot, termination
       // detection was broken by the fault schedule.
-      bool ok = td_->terminated();
-      for (int i = 0; i < devices_ * 4 && !ok; ++i) ok = td_->try_advance();
-      fault_global_.termination_clean = ok;
+      fault_global_.termination_clean = termination_settles();
     }
+  }
+
+  /// Schedules device d's next step at `at`.
+  void step(int d, sim::SimTime at, sim::EventQueue& queue) {
+    queue.schedule(at, [this, d, &queue](sim::SimTime t) {
+      basp_step(d, t, queue);
+    });
+  }
+
+  /// Schedules a step of device o at `at` that runs only if o is parked
+  /// by then (a running device picks new work up on its own).
+  void wake(int o, sim::SimTime at, sim::EventQueue& queue) {
+    queue.schedule(at, [this, o, &queue](sim::SimTime t) {
+      if (devs_[o].parked) basp_step(o, t, queue);
+    });
   }
 
   /// BASP crash handler, fired from the event queue at the fault time.
@@ -2584,10 +1531,7 @@ class Executor {
     // marks; running peers pick the marks up in their next round.
     for (int o = 0; o < devices_; ++o) {
       if (o != cd && !devs_[o].flush_pending) continue;
-      const sim::SimTime wake = o == cd ? dev.clock : t;
-      queue.schedule(wake, [this, o, &queue](sim::SimTime tt) {
-        if (devs_[o].parked) basp_step(o, tt, queue);
-      });
+      wake(o, o == cd ? dev.clock : t, queue);
     }
   }
 
@@ -2643,9 +1587,7 @@ class Executor {
         dev_scope(d).span(obs::SpanKind::kWait, "wait.throttle", dev.clock,
                           dev.clock + stall, 0, dev.local_round);
         dev.clock += stall;
-        queue.schedule(dev.clock, [this, d, &queue](sim::SimTime t) {
-          basp_step(d, t, queue);
-        });
+        step(d, dev.clock, queue);
         return;
       }
       dev.consecutive_stalls = 0;
@@ -2657,7 +1599,6 @@ class Executor {
         // Gluon-Async style idle churn: an empty local round still costs
         // a worklist-check kernel and a bitvector scan, and counts as a
         // local round (the paper's exploding min-round metric).
-        const sim::GpuCostModel cost(topo_.spec(d), params_);
         sim::SimTime poll = params_.kernel_launch * 2.0;
         poll += sim::SimTime{
             static_cast<double>(
@@ -2671,9 +1612,7 @@ class Executor {
         if (m_rounds_ != nullptr) m_rounds_->inc();
         basp_trace(dev.local_round, 0, 0, 0);
         dev.clock += poll;
-        queue.schedule(dev.clock, [this, d, &queue](sim::SimTime t) {
-          basp_step(d, t, queue);
-        });
+        step(d, dev.clock, queue);
         return;
       }
       if (dev.flush_pending) {
@@ -2683,9 +1622,7 @@ class Executor {
         dev.flush_pending = false;
         if (dev.dirty_r.any() || dev.dirty_b.any()) {
           basp_send(d, queue);
-          queue.schedule(dev.clock, [this, d, &queue](sim::SimTime t) {
-            basp_step(d, t, queue);
-          });
+          step(d, dev.clock, queue);
           return;
         }
       }
@@ -2695,7 +1632,7 @@ class Executor {
 
     dev.flush_pending = false;  // regular sends cover the re-feed marks
     dev.clock += compute_one_round(d, dev.clock);
-    observe_kernel(d);
+    observe_kernel(d, dev.current.size());
     ++dev.local_round;
     flight().record(obs::FlightKind::kRound, d,
                     static_cast<std::int64_t>(dev.local_round), 0, "basp",
@@ -2707,99 +1644,37 @@ class Executor {
     basp_trace(dev.local_round, dev.ctx->applications(),
                dev.ctx->total_edges(), 0);
     basp_send(d, queue);
-    queue.schedule(dev.clock, [this, d, &queue](sim::SimTime t) {
-      basp_step(d, t, queue);
-    });
+    step(d, dev.clock, queue);
   }
 
-  /// BASP counterpart of the BSP trace collection: accumulates activity
-  /// into the per-local-round aggregate (entry `round-1`, growing the
-  /// vector on demand). Single-threaded — BASP runs on one event queue.
-  /// `round` 0 (a pre-round flush during fault recovery) folds into
-  /// round 1.
-  void basp_trace(std::uint32_t round, std::uint64_t active,
-                  std::uint64_t edges, std::uint64_t volume) {
-    if (!config_.collect_trace ||
-        config_.exec_model != ExecModel::kAsync) {
-      return;
-    }
-    if (round == 0) round = 1;
-    if (stats_.trace.size() < round) {
-      const std::size_t old = stats_.trace.size();
-      stats_.trace.resize(round);
-      for (std::size_t i = old; i < round; ++i) {
-        stats_.trace[i].round = static_cast<std::uint32_t>(i + 1);
-      }
-    }
-    RoundTrace& tr = stats_.trace[round - 1];
-    tr.active_vertices += active;
-    tr.edges += edges;
-    tr.volume_bytes += volume;
-  }
-
-  /// Pays the uplink + apply cost of one admitted reduce message on
-  /// device d's clock and applies it (shared by the in-order drain and
-  /// the reorder-buffer release).
-  void apply_reduce_msg(int d, const Msg<RV>& m) {
-    const auto sync_scope = prof().scope("sync.apply_reduce");
+  /// Pays the receive cost of one admitted message on device d's clock
+  /// and applies it (shared by the in-order drain and the reorder-buffer
+  /// release).
+  template <bool B>
+  void apply_msg(int d, const Msg<Val<B>>& m) {
+    const SyncSide& side = kSyncSides[B];
+    const auto sync_scope = prof().scope(side.prof_apply);
     Dev& dev = devs_[d];
-    const auto& lg = dg().part(d);
-    const sim::SimTime s0 = dev.clock;
-    const StageCost cost = receive_cost(d, m.payload);
-    stats_.device_comm_time[d] += cost.total();
-    dev.clock += cost.total();
-    trace_recv(d, m.payload.from, "reduce.uplink", "reduce.apply", cost,
-               s0, dev.clock, m.payload.bytes, m.net_ref);
-    basp_trace(dev.local_round + 1, 0, 0, m.payload.bytes);
-    dev.last_seen_round[m.payload.from] =
-        std::max(dev.last_seen_round[m.payload.from], m.sender_round);
-    std::vector<VertexId> changed;
-    RSync::apply_reduce(sync().list(m.payload.from, d, reduce_filter_),
-                        m.payload, program_.reduce_master_dst(dev.state),
-                        dev.dirty_b, &changed);
-    comm_per_dev_[d].reduce_values += m.payload.count();
-    for (VertexId v : changed) {
-      program_.on_update(lg, dev.state, v, UpdateKind::kReduce, *dev.ctx);
-    }
-    merge_activations(dev);
+    const int from = m.payload.from;
+    basp_receive(d, from, side, value_bytes(m.payload), m.payload.bytes,
+                 m.net_ref, dev.clock, dev.local_round);
+    dev.last_seen_round[from] =
+        std::max(dev.last_seen_round[from], m.sender_round);
+    apply_payload<B>(d, from, m.payload);
   }
 
-  void apply_bcast_msg(int d, const Msg<BV>& m) {
-    const auto sync_scope = prof().scope("sync.apply_broadcast");
+  /// Drains one lane of device d's inbox up to its clock.
+  template <bool B>
+  void drain_lane(int d) {
     Dev& dev = devs_[d];
-    const auto& lg = dg().part(d);
-    const sim::SimTime s0 = dev.clock;
-    const StageCost cost = receive_cost(d, m.payload);
-    stats_.device_comm_time[d] += cost.total();
-    dev.clock += cost.total();
-    trace_recv(d, m.payload.from, "bcast.uplink", "bcast.apply", cost,
-               s0, dev.clock, m.payload.bytes, m.net_ref);
-    basp_trace(dev.local_round + 1, 0, 0, m.payload.bytes);
-    dev.last_seen_round[m.payload.from] =
-        std::max(dev.last_seen_round[m.payload.from], m.sender_round);
-    std::vector<VertexId> changed;
-    BSync::apply_broadcast(sync().list(d, m.payload.from, bcast_filter_),
-                           m.payload, program_.bcast_mirror_dst(dev.state),
-                           &changed);
-    comm_per_dev_[d].broadcast_values += m.payload.count();
-    for (VertexId v : changed) {
-      program_.on_update(lg, dev.state, v, UpdateKind::kBroadcast,
-                         *dev.ctx);
-    }
-    merge_activations(dev);
-  }
-
-  void drain_inbox(int d) {
-    Dev& dev = devs_[d];
-    auto& inbox = inboxes_[d];
-    while (!inbox.reduce.empty() &&
-           inbox.reduce.front().arrival <= dev.clock) {
-      Msg<RV> m = std::move(inbox.reduce.front());
-      inbox.reduce.pop_front();
+    Lane<Val<B>>& in = lane<B>(inboxes_[d]);
+    while (!in.queue.empty() && in.queue.front().arrival <= dev.clock) {
+      Msg<Val<B>> m = std::move(in.queue.front());
+      in.queue.pop_front();
       // Ghost copies are NIC artifacts, invisible to Safra's message
       // counters (no matching on_send was recorded for them).
       if (td_ && !m.dup_ghost) td_->on_receive(d);
-      switch (admit_payload(d, m.payload, fault::MsgKind::kReduce,
+      switch (admit_payload(d, m.payload, kSyncSides[B].kind,
                             /*allow_hold=*/true, m.arrival)) {
         case Admit::kDiscard:
           break;  // rejected at the NIC; zero modeled cost
@@ -2808,67 +1683,42 @@ class Executor {
           // in flight (reordered). Park the payload so applies stay in
           // channel order.
           fault_per_dev_[d].reorder_buffered += 1;
-          inbox.held_reduce.push_back(std::move(m));
+          in.held.push_back(std::move(m));
           break;
         case Admit::kApply:
-          apply_reduce_msg(d, m);
+          apply_msg<B>(d, m);
           break;
       }
     }
-    while (!inbox.bcast.empty() && inbox.bcast.front().arrival <= dev.clock) {
-      Msg<BV> m = std::move(inbox.bcast.front());
-      inbox.bcast.pop_front();
-      if (td_ && !m.dup_ghost) td_->on_receive(d);
-      switch (admit_payload(d, m.payload, fault::MsgKind::kBroadcast,
-                            /*allow_hold=*/true, m.arrival)) {
-        case Admit::kDiscard:
-          break;
-        case Admit::kHold:
-          fault_per_dev_[d].reorder_buffered += 1;
-          inbox.held_bcast.push_back(std::move(m));
-          break;
-        case Admit::kApply:
-          apply_bcast_msg(d, m);
-          break;
-      }
-    }
-    release_held(d);
   }
 
-  /// Releases reorder-buffered messages whose sequence gap has closed,
-  /// repeating until a full pass makes no progress (one release can
-  /// unblock the next in the same channel).
-  void release_held(int d) {
-    auto& inbox = inboxes_[d];
-    bool progress = true;
-    while (progress) {
-      progress = false;
-      for (std::size_t i = 0; i < inbox.held_reduce.size(); ++i) {
-        const Admit a = admit_payload(d, inbox.held_reduce[i].payload,
-                                      fault::MsgKind::kReduce,
-                                      /*allow_hold=*/true,
-                                      inbox.held_reduce[i].arrival);
-        if (a == Admit::kHold) continue;
-        Msg<RV> m = std::move(inbox.held_reduce[i]);
-        inbox.held_reduce.erase(inbox.held_reduce.begin() +
-                                static_cast<std::ptrdiff_t>(i));
-        if (a == Admit::kApply) apply_reduce_msg(d, m);
-        progress = true;
-        break;
-      }
-      for (std::size_t i = 0; i < inbox.held_bcast.size(); ++i) {
-        const Admit a = admit_payload(d, inbox.held_bcast[i].payload,
-                                      fault::MsgKind::kBroadcast,
-                                      /*allow_hold=*/true,
-                                      inbox.held_bcast[i].arrival);
-        if (a == Admit::kHold) continue;
-        Msg<BV> m = std::move(inbox.held_bcast[i]);
-        inbox.held_bcast.erase(inbox.held_bcast.begin() +
-                               static_cast<std::ptrdiff_t>(i));
-        if (a == Admit::kApply) apply_bcast_msg(d, m);
-        progress = true;
-        break;
-      }
+  /// Releases the first held message of one lane whose sequence gap has
+  /// closed; returns whether one was released.
+  template <bool B>
+  bool release_one(int d) {
+    std::vector<Msg<Val<B>>>& held = lane<B>(inboxes_[d]).held;
+    for (std::size_t i = 0; i < held.size(); ++i) {
+      const Admit a = admit_payload(d, held[i].payload, kSyncSides[B].kind,
+                                    /*allow_hold=*/true, held[i].arrival);
+      if (a == Admit::kHold) continue;
+      Msg<Val<B>> m = std::move(held[i]);
+      held.erase(held.begin() + static_cast<std::ptrdiff_t>(i));
+      if (a == Admit::kApply) apply_msg<B>(d, m);
+      return true;
+    }
+    return false;
+  }
+
+  void drain_inbox(int d) {
+    drain_lane<false>(d);
+    drain_lane<true>(d);
+    // Release reorder-buffered messages, repeating until a full pass
+    // makes no progress (one release can unblock the next in the same
+    // channel).
+    for (bool progress = true; progress;) {
+      const bool r = release_one<false>(d);
+      const bool b = release_one<true>(d);
+      progress = r || b;
     }
   }
 
@@ -2878,120 +1728,52 @@ class Executor {
     const auto sync_scope = prof().scope("sync.extract");
     Dev& dev = devs_[d];
     sim::SimTime engine = dev.clock;  // downlink copy engine (overlap)
-    auto rvalues = program_.reduce_mirror_src(dev.state);
-    for (int o = 0; o < devices_; ++o) {
-      if (o == d || basp_silent(o, dev.clock)) continue;
-      const auto& list = sync().list(d, o, reduce_filter_);
-      if (list.size() == 0) continue;
-      comm::Payload<RV> payload;
-      RSync::extract_reduce(list, rvalues, dev.dirty_r, config_.sync_mode, d,
-                            o, payload);
-      if (payload.empty_update()) continue;
-      deliver<RV>(d, o, std::move(payload), dev, engine, queue,
-                  /*bcast=*/false);
-    }
-    auto bvalues = program_.bcast_master_src(dev.state);
-    for (int o = 0; o < devices_; ++o) {
-      if (o == d || basp_silent(o, dev.clock)) continue;
-      const auto& list = sync().list(o, d, bcast_filter_);
-      if (list.size() == 0) continue;
-      comm::Payload<BV> payload;
-      BSync::extract_broadcast(list, bvalues, dev.dirty_b, config_.sync_mode,
-                               d, o, payload);
-      if (payload.empty_update()) continue;
-      deliver<BV>(d, o, std::move(payload), dev, engine, queue,
-                  /*bcast=*/true);
-    }
+    send_lane<false>(d, engine, queue);
+    send_lane<true>(d, engine, queue);
     dev.clock = sim::max(dev.clock, engine);
     dev.dirty_b.clear();
   }
 
-  template <typename T>
-  void deliver(int d, int o, comm::Payload<T> payload, Dev& dev,
-               sim::SimTime& engine, sim::EventQueue& queue, bool bcast) {
-    const fault::MsgKind kind =
-        bcast ? fault::MsgKind::kBroadcast : fault::MsgKind::kReduce;
-    seal_payload(payload, d, o, kind, dev.local_round);
-    const sim::SimTime s0 = dev.clock;
-    const StageCost cost = send_cost(d, payload,
-                                     payload.scanned > 0
-                                         ? payload.scanned
-                                         : payload.count());
-    stats_.device_comm_time[d] += cost.total();
-    const sim::SimTime sent = advance_pipeline(cost, dev.clock, engine);
-    const Delivery del =
-        deliver_link(d, o, payload.bytes, sent, kind, dev.local_round);
-    if (del.arrival == sim::SimTime::max()) {
+  template <bool B>
+  void send_lane(int d, sim::SimTime& engine, sim::EventQueue& queue) {
+    Dev& dev = devs_[d];
+    for (int o = 0; o < devices_; ++o) {
+      if (o == d || basp_silent(o, dev.clock)) continue;
+      const comm::ExchangeList& list = exchange_list(B, d, o);
+      if (list.size() == 0) continue;
+      comm::Payload<Val<B>> payload;
+      extract_payload<B>(d, o, list, payload);
+      if (payload.empty_update()) continue;
+      const Shipment s = send_payload<B>(
+          d, o, payload,
+          payload.scanned > 0 ? payload.scanned : payload.count(),
+          dev.local_round, dev.clock, engine);
       // Fenced at the NIC (partition outlasting detection): never
       // delivered, so Safra must not count a send for it.
-      return;
-    }
-    if (del.corrupt) comm::corrupt_payload(payload, del.corrupt_h);
-    const obs::SpanRef net_ref =
-        trace_send(d, o, bcast ? "bcast.extract" : "reduce.extract",
-                   bcast ? "bcast.downlink" : "reduce.downlink",
-                   bcast ? "bcast.net" : "reduce.net", cost, s0, sent,
-                   del.arrival, payload.bytes);
-    basp_trace(dev.local_round, 0, 0, payload.bytes);
-    account_network(d, o, payload.bytes);
-    if (td_) td_->on_send(d);
-    auto& inbox = inboxes_[o];
-    if (del.duplicate) {
-      // The ghost is a byte-for-byte copy arriving later. It is a NIC
-      // artifact, not an application send: Safra never counts it, and
-      // the sequence dedup (protocol on) discards it on arrival.
-      Msg<T> ghost;
-      ghost.arrival = del.dup_arrival;
-      ghost.sender_round = dev.local_round;
-      ghost.net_ref = net_ref;
-      ghost.dup_ghost = true;
-      ghost.payload = payload;
-      if (bcast) {
-        if constexpr (std::is_same_v<T, BV>) {
-          insert_sorted(inbox.bcast, std::move(ghost));
-        }
-      } else {
-        if constexpr (std::is_same_v<T, RV>) {
-          insert_sorted(inbox.reduce, std::move(ghost));
-        }
+      if (s.fenced()) continue;
+      basp_sent(d, o, dev.local_round, payload.bytes);
+      Lane<Val<B>>& in = lane<B>(inboxes_[o]);
+      if (s.del.duplicate) {
+        // The ghost is a byte-for-byte copy arriving later. It is a NIC
+        // artifact, not an application send: Safra never counts it, and
+        // the sequence dedup (protocol on) discards it on arrival.
+        Msg<Val<B>> ghost;
+        ghost.arrival = s.del.dup_arrival;
+        ghost.sender_round = dev.local_round;
+        ghost.net_ref = s.net_ref;
+        ghost.dup_ghost = true;
+        ghost.payload = payload;
+        in.insert(std::move(ghost));
+        wake(o, s.del.dup_arrival, queue);
       }
-      queue.schedule(del.dup_arrival, [this, o, &queue](sim::SimTime t) {
-        if (devs_[o].parked) basp_step(o, t, queue);
-      });
+      Msg<Val<B>> msg;
+      msg.arrival = s.del.arrival;
+      msg.sender_round = dev.local_round;
+      msg.net_ref = s.net_ref;
+      msg.payload = std::move(payload);
+      in.insert(std::move(msg));
+      wake(o, s.del.arrival, queue);
     }
-    Msg<T> msg;
-    msg.arrival = del.arrival;
-    msg.sender_round = dev.local_round;
-    msg.net_ref = net_ref;
-    msg.payload = std::move(payload);
-    if (bcast) {
-      if constexpr (std::is_same_v<T, BV>) {
-        insert_sorted(inbox.bcast, std::move(msg));
-      }
-    } else {
-      if constexpr (std::is_same_v<T, RV>) {
-        insert_sorted(inbox.reduce, std::move(msg));
-      }
-    }
-    queue.schedule(del.arrival, [this, o, &queue](sim::SimTime t) {
-      if (devs_[o].parked) basp_step(o, t, queue);
-    });
-  }
-
-  template <typename T>
-  static void insert_sorted(std::deque<Msg<T>>& box, Msg<T> msg) {
-    auto it = std::upper_bound(
-        box.begin(), box.end(), msg,
-        [](const Msg<T>& a, const Msg<T>& b) { return a.arrival < b.arrival; });
-    box.insert(it, std::move(msg));
-  }
-
-  /// True when device o has permanently failed by time `at` (evicted,
-  /// or lost but not yet detected): it must not receive extractions nor
-  /// run local rounds.
-  [[nodiscard]] bool basp_silent(int o, sim::SimTime at) const {
-    return dead_[o] != 0 ||
-           (monitor_.active() && injector_.lost_at(o) <= at);
   }
 
   /// Periodic heartbeat-monitor poll under BASP (there is no barrier to
@@ -3010,34 +1792,10 @@ class Executor {
     }
   }
 
-  /// BASP-side wrapper around evict_device: additionally drops every
-  /// in-flight payload (they index the *old* exchange lists, which the
-  /// rebuild invalidated — the post-rebuild re-feed resends everything)
-  /// and restarts Safra termination detection, whose message counters
-  /// straddle the dropped messages.
+  /// BASP-side wrapper around evict_device (see basp_resume).
   void basp_evict(int cd, sim::SimTime t, sim::EventQueue& queue) {
     const sim::SimTime cost = evict_device(cd, t);
-    inboxes_.assign(devices_, BaspInbox{});
-    if (td_) {
-      td_ = std::make_unique<TerminationDetector>(devices_);
-      for (int o = 0; o < devices_; ++o) {
-        if (dead_[o]) td_->set_active(o, false);
-      }
-    }
-    const sim::SimTime resume = t + cost;
-    for (int o = 0; o < devices_; ++o) {
-      if (dead_[o]) continue;
-      Dev& dev = devs_[o];
-      if (!dev.parked && resume > dev.clock) {
-        stats_.wait_time[o] += resume - dev.clock;
-        dev_scope(o).span(obs::SpanKind::kWait, "wait.evict", dev.clock,
-                          resume, 0, static_cast<std::uint64_t>(cd));
-        dev.clock = resume;
-      }
-      queue.schedule(resume, [this, o, &queue](sim::SimTime tt) {
-        if (devs_[o].parked) basp_step(o, tt, queue);
-      });
-    }
+    basp_resume(t + cost, "wait.evict", cd, queue);
   }
 
   /// Periodic gray-failure poll under BASP. Mitigation fires between
@@ -3072,9 +1830,7 @@ class Executor {
   }
 
   /// BASP-side mitigation wrapper: runs the shared migrate/evict path,
-  /// then — exactly like basp_evict — wipes in-flight traffic (it
-  /// indexes the old exchange lists), restarts Safra, and realigns live
-  /// devices at the post-mitigation instant.
+  /// then resumes like basp_evict when it changed the layout.
   void basp_mitigate(const fault::GrayFailureMonitor::Action& a,
                      sim::SimTime t, sim::EventQueue& queue) {
     const std::uint64_t before =
@@ -3084,26 +1840,29 @@ class Executor {
         before) {
       return;  // nothing happened (non-rehomable program / no placement)
     }
+    basp_resume(t + cost, "wait.migrate", a.device, queue);
+  }
+
+  /// After a BASP layout rebuild: drops every in-flight payload (they
+  /// index the *old* exchange lists, which the rebuild invalidated — the
+  /// post-rebuild re-feed resends everything), restarts Safra
+  /// termination detection, whose message counters straddle the dropped
+  /// messages, and realigns every live device at `resume` (`why` names
+  /// the wait; `cause` is the device that triggered it).
+  void basp_resume(sim::SimTime resume, const char* why, int cause,
+                   sim::EventQueue& queue) {
     inboxes_.assign(devices_, BaspInbox{});
-    if (td_) {
-      td_ = std::make_unique<TerminationDetector>(devices_);
-      for (int o = 0; o < devices_; ++o) {
-        if (dead_[o]) td_->set_active(o, false);
-      }
-    }
-    const sim::SimTime resume = t + cost;
+    restart_termination(/*all_passive=*/false);
     for (int o = 0; o < devices_; ++o) {
       if (dead_[o]) continue;
       Dev& dev = devs_[o];
       if (!dev.parked && resume > dev.clock) {
         stats_.wait_time[o] += resume - dev.clock;
-        dev_scope(o).span(obs::SpanKind::kWait, "wait.migrate", dev.clock,
-                          resume, 0, static_cast<std::uint64_t>(a.device));
+        dev_scope(o).span(obs::SpanKind::kWait, why, dev.clock, resume, 0,
+                          static_cast<std::uint64_t>(cause));
         dev.clock = resume;
       }
-      queue.schedule(resume, [this, o, &queue](sim::SimTime tt) {
-        if (devs_[o].parked) basp_step(o, tt, queue);
-      });
+      wake(o, resume, queue);
     }
   }
 
@@ -3117,20 +1876,13 @@ class Executor {
       if (config_.checkpoint.interval_rounds == 0) return;
       const sim::SimTime now = devs_[d].clock;
       if (undetected_loss(now)) return;
-      for (int o = 0; o < devices_; ++o) {
-        if (!dead_[o] && !devs_[o].parked) return;
-        if (pending_arrivals(o)) return;
-      }
+      if (!all_quiescent()) return;
       if (current_round() <
           last_basp_ckpt_round_ +
               static_cast<std::uint32_t>(config_.checkpoint.interval_rounds)) {
         return;
       }
-      if (td_) {
-        bool ok = td_->terminated();
-        for (int i = 0; i < devices_ * 4 && !ok; ++i) ok = td_->try_advance();
-        if (!ok) return;
-      }
+      if (td_ && !termination_settles()) return;
       // Cost is accounted in FaultStats::checkpoint_time; the snapshot
       // overlaps park idle time, so device clocks do not advance.
       (void)take_checkpoint(now);
@@ -3180,31 +1932,23 @@ class Executor {
 
   /// Wakes every device an SDC repair gave work to and restarts Safra
   /// (a rewind/restart invalidates its message counters), so the event
-  /// loop picks the revived computation back up.
+  /// loop picks the revived computation back up. Revive only happens
+  /// at a quiescent cut, so every live device is parked: all start
+  /// passive and the wakes flip exactly the revived ones back to active
+  /// as they unpark (basp_step does). A parked device left active would
+  /// never step again to declare itself passive and would wedge the
+  /// token ring into a false termination violation.
   void basp_sdc_revive(sim::EventQueue& queue) {
-    if (td_) {
-      td_ = std::make_unique<TerminationDetector>(devices_);
-      // Revive only happens at a quiescent cut, so every live device is
-      // parked: start them all passive and let the wakes below flip
-      // exactly the revived ones back to active as they unpark
-      // (basp_step does). A parked device left active would never step
-      // again to declare itself passive and would wedge the token ring
-      // into a false termination violation.
-      for (int o = 0; o < devices_; ++o) td_->set_active(o, false);
-    }
+    restart_termination(/*all_passive=*/true);
     for (int o = 0; o < devices_; ++o) {
       if (dead_[o] != 0) continue;
       if (!device_has_work(o) && !devs_[o].flush_pending) continue;
-      queue.schedule(devs_[o].clock, [this, o, &queue](sim::SimTime t) {
-        if (devs_[o].parked) basp_step(o, t, queue);
-      });
+      wake(o, devs_[o].clock, queue);
     }
   }
 
   [[nodiscard]] bool pending_arrivals(int d) const {
-    return !inboxes_[d].reduce.empty() || !inboxes_[d].bcast.empty() ||
-           !inboxes_[d].held_reduce.empty() ||
-           !inboxes_[d].held_bcast.empty();
+    return !inboxes_[d].reduce.empty() || !inboxes_[d].bcast.empty();
   }
 
   /// Busy-poll continuation test: some *other* device still has work or
@@ -3220,38 +1964,12 @@ class Executor {
     return false;
   }
 
-  /// True when device `sender` can send sync messages to `receiver`
-  /// (reduce from sender's mirrors, or broadcast from sender's masters).
-  [[nodiscard]] bool is_partner(int sender, int receiver) const {
-    return sync().list(sender, receiver, reduce_filter_).size() > 0 ||
-           sync().list(receiver, sender, bcast_filter_).size() > 0;
-  }
-  [[nodiscard]] bool has_reduce_partner(int d) const {
-    for (int o = 0; o < devices_; ++o) {
-      if (o != d && is_partner(o, d)) return true;
-    }
-    return false;
-  }
-
   // -------------------------------------------------------------------------
   RunResult<Program> collect() {
+    finish_stats();
     RunResult<Program> result;
     result.states.reserve(devices_);
-    for (int d = 0; d < devices_; ++d) {
-      stats_.peak_memory[d] =
-          std::max(stats_.peak_memory[d], devs_[d].memory->peak());
-      stats_.evicted[d] = dead_[d];
-      stats_.comm += comm_per_dev_[d];
-      stats_.faults += fault_per_dev_[d];
-      result.states.push_back(std::move(devs_[d].state));
-    }
-    stats_.faults += fault_global_;
-    stats_.faults.faults_injected =
-        stats_.faults.device_crashes + injector_.windowed_events() +
-        static_cast<std::uint64_t>(injector_.losses().size()) +
-        static_cast<std::uint64_t>(injector_.label_flips().size()) +
-        static_cast<std::uint64_t>(injector_.checkpoint_flips().size());
-    stats_.total_time = total_time_;
+    for (Dev& dev : devs_) result.states.push_back(std::move(dev.state));
     result.stats = std::move(stats_);
     if (rehomed_dg_) {
       // Labels now live in the rebuilt layout's local-id spaces; hand
@@ -3262,94 +1980,13 @@ class Executor {
     return result;
   }
 
-  /// Current layout / exchange lists. These start at the caller's
-  /// structures and are swapped to the owned rebuilt ones when a device
-  /// eviction re-homes masters (the executor is the only writer).
-  [[nodiscard]] const partition::DistGraph& dg() const { return *dgp_; }
-  [[nodiscard]] const comm::SyncStructure& sync() const { return *syncp_; }
-
-  const partition::DistGraph* dgp_;
-  const comm::SyncStructure* syncp_;
-  std::unique_ptr<partition::DistGraph> rehomed_dg_;
-  std::unique_ptr<comm::SyncStructure> rehomed_sync_;
-  const sim::Topology& topo_;
-  const sim::CostParams& params_;
-  sim::Interconnect net_;
-  EngineConfig config_;
   const Program& program_;
-  int devices_;
-  comm::ProxyFilter reduce_filter_;
-  comm::ProxyFilter bcast_filter_;
-
   std::vector<Dev> devs_;
   // BSP round scratch (see reserve_round_buffers): D² message slots
-  // indexed [from * D + to], and per-device phase clocks.
+  // indexed [from * D + to].
   std::vector<Msg<RV>> rmsgs_;
   std::vector<Msg<BV>> bmsgs_;
-  std::vector<sim::SimTime> ready_, after_recv_, after_bext_, done_;
-  std::vector<std::uint8_t> computed_;
   std::vector<BaspInbox> inboxes_;
-  std::vector<sim::SimTime> park_start_;
-  std::vector<comm::CommStats> comm_per_dev_;
-  std::uint64_t traced_volume_ = 0;
-  RunStats stats_;
-  sim::SimTime total_time_;
-
-  // Observability (all null when disabled; every use tests the handle).
-  obs::Tracer* tracer_ = nullptr;
-  obs::Counter* m_rounds_ = nullptr;
-  obs::Counter* m_messages_ = nullptr;
-  obs::Counter* m_bytes_ = nullptr;
-  obs::Counter* m_checkpoints_ = nullptr;
-  obs::Counter* m_rollbacks_ = nullptr;
-  obs::Histogram* m_msg_size_ = nullptr;
-  obs::Histogram* m_frontier_ = nullptr;
-  obs::Histogram* m_kernel_us_ = nullptr;
-  // Byzantine-network counters (registered only under an active plan).
-  obs::Counter* m_net_anomalies_ = nullptr;
-  obs::Counter* m_protocol_discards_ = nullptr;
-  obs::Counter* m_partition_deferred_ = nullptr;
-  // Gray-mitigation counters (registered only under degradation plans).
-  obs::Counter* m_gray_migrations_ = nullptr;
-  obs::Counter* m_gray_evictions_ = nullptr;
-
-  // Fault-injection state.
-  fault::FaultInjector injector_;
-  std::vector<fault::FaultStats> fault_per_dev_;  // parallel-phase safe
-  fault::FaultStats fault_global_;
-  fault::Checkpoint last_ckpt_;
-  fault::CheckpointStore ckpt_store_;
-  std::size_t next_crash_ = 0;
-  int force_sync_rounds_ = 0;  // keep BSP alive for post-recovery sync
-  std::unique_ptr<TerminationDetector> td_;  // audited under faults
-  // Permanent-loss state.
-  fault::HeartbeatMonitor monitor_;
-  // Gray-failure state: the degradation monitor and the per-device
-  // bytes currently squatted by an active memory-pressure fault.
-  fault::GrayFailureMonitor gray_;
-  std::vector<std::uint64_t> pressure_squat_;
-  std::vector<std::uint8_t> dead_;    // evicted devices (empty parts)
-  std::vector<std::uint8_t> silent_;  // lost but not yet evicted (per round)
-  std::uint32_t last_basp_ckpt_round_ = 0;
-  // Layout epoch, sealed into every wire header and bumped on each
-  // eviction/rebuild: traffic sealed against a dead layout is fence-
-  // rejected on receipt instead of indexing rebuilt exchange lists.
-  std::uint32_t epoch_ = 0;
-  // Silent-data-corruption state (DESIGN.md §13): armed only while the
-  // plan schedules SDC events, so clean runs execute none of it.
-  integrity::DetectLagTracker sdc_lag_;
-  std::vector<std::uint8_t> label_flip_done_;
-  std::vector<std::uint8_t> ckpt_flip_done_;
-  std::vector<int> sdc_repair_count_;  // escalation ledger, per device
-  std::uint64_t audit_boundary_ = 0;   // audited-boundary counter
-  int final_audits_ = 0;               // certify/revive loop safety valve
-  std::uint64_t last_sdc_rollback_round_ =
-      std::numeric_limits<std::uint64_t>::max();
-  bool invariants_valid_ = true;  // cleared on re-home / migration
-  obs::Counter* m_sdc_audits_ = nullptr;
-  obs::Counter* m_sdc_detected_ = nullptr;
-  obs::Counter* m_sdc_repaired_ = nullptr;
-  static constexpr int kMaxFinalAudits = 5;
 };
 
 /// Convenience entry point: partitioned graph + topology + config in,

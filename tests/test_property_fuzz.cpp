@@ -17,8 +17,10 @@
 
 #include "algo/bfs.hpp"
 #include "algo/cc.hpp"
+#include "algo/kcore.hpp"
 #include "algo/pagerank.hpp"
 #include "algo/reference.hpp"
+#include "algo/sssp.hpp"
 #include "comm/sync_structure.hpp"
 #include "fault/chaos.hpp"
 #include "fault/checkpoint.hpp"
@@ -149,24 +151,40 @@ TEST_P(Fuzz, EventQueueMatchesReferenceSort) {
 TEST_P(Fuzz, DistributedBfsAndCcMatchReferenceOnRandomGraphs) {
   sim::Rng rng{GetParam()};
   const auto n = static_cast<graph::VertexId>(16 + rng.bounded(400));
-  auto g = graph::build_csr(
-      random_edges(rng, n, n * (1 + rng.bounded(8)), false), n);
+  const std::size_t m = n * (1 + rng.bounded(8));
+  auto g = graph::build_csr(random_edges(rng, n, m, false), n);
+  auto wg = graph::build_csr(random_edges(rng, n, m, /*weighted=*/true), n);
   const auto policies = test::all_policies();
   const auto policy = policies[rng.bounded(policies.size())];
   const int devices = 1 + static_cast<int>(rng.bounded(6));
-  const auto model = rng.chance(0.5) ? engine::ExecModel::kSync
-                                     : engine::ExecModel::kAsync;
   test::PreparedGraph prep(g, policy, devices);
+  test::PreparedGraph wprep(wg, policy, devices);
   const auto t = test::topo(devices);
   const auto p = test::params();
   const auto src = static_cast<graph::VertexId>(rng.bounded(n));
-  EXPECT_EQ(
-      algo::run_bfs(prep.dist, prep.sync, t, p, test::cfg(model), src).dist,
-      algo::reference::bfs(g, src))
-      << partition::to_string(policy) << " d=" << devices;
-  EXPECT_EQ(
-      algo::run_cc(prep.dist, prep.sync, t, p, test::cfg(model)).label,
-      algo::reference::cc(g));
+  const auto k = static_cast<std::uint32_t>(1 + rng.bounded(6));
+  const auto bfs = algo::reference::bfs(g, src);
+  const auto cc = algo::reference::cc(g);
+  const auto kcore = algo::reference::kcore(g, k);
+  const auto sssp = algo::reference::sssp(wg, src);
+  // BSP and BASP must agree with the oracles on every input.
+  for (const auto model :
+       {engine::ExecModel::kSync, engine::ExecModel::kAsync}) {
+    const std::string where = std::string(partition::to_string(policy)) +
+                              " d=" + std::to_string(devices) + " " +
+                              engine::to_string(model);
+    const auto c = test::cfg(model);
+    EXPECT_EQ(algo::run_bfs(prep.dist, prep.sync, t, p, c, src).dist, bfs)
+        << where;
+    EXPECT_EQ(algo::run_cc(prep.dist, prep.sync, t, p, c).label, cc)
+        << where;
+    EXPECT_EQ(algo::run_kcore(prep.dist, prep.sync, t, p, c, k).in_core,
+              kcore)
+        << where << " k=" << k;
+    EXPECT_EQ(algo::run_sssp(wprep.dist, wprep.sync, t, p, c, src).dist,
+              sssp)
+        << where;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, Fuzz,

@@ -684,6 +684,10 @@ int soak(Mode& m, const Options& opt) {
                   o.kind.c_str(), o.detail.c_str());
       fault::FaultPlan minimal = plan;
       fault::ShrinkStats shrink_stats;
+      // The reproducer records the outcome of the plan it carries: after
+      // a shrink that is one more run of the minimal plan, which also
+      // leaves that run in the flight recorder for the dump below.
+      Outcome minimal_outcome = o;
       if (opt.shrink) {
         const auto fails = [&](const fault::FaultPlan& cand) {
           std::string unused;
@@ -694,6 +698,8 @@ int soak(Mode& m, const Options& opt) {
         std::printf(
             "       shrunk %zu -> %zu event(s) in %d probe(s)\n",
             plan.events.size(), minimal.events.size(), shrink_stats.probes);
+        std::string unused;
+        minimal_outcome = run_guarded(m, minimal, unused);
       }
       const std::string tag = m.info.tag;
       const std::filesystem::path repro =
@@ -701,7 +707,7 @@ int soak(Mode& m, const Options& opt) {
           ("chaos_repro_" + (tag.empty() ? "" : tag + "_") +
            sanitize(label_of(m.s)) + "_seed" + std::to_string(seed) +
            ".json");
-      write_reproducer(repro, m, minimal, o,
+      write_reproducer(repro, m, minimal, minimal_outcome,
                        opt.shrink ? &shrink_stats : nullptr);
       std::printf("       reproducer: %s (replay with --replay)\n",
                   repro.string().c_str());

@@ -86,6 +86,18 @@ if(NOT out STREQUAL out2)
   message(FATAL_ERROR "replay output is not deterministic")
 endif()
 
+# The reproducer's recorded failure is the one its (shrunk) plan
+# produces: the replay prints exactly `reproduced: <failure> (<detail>)`.
+file(READ "${repro}" repro_json)
+string(JSON repro_kind GET "${repro_json}" failure)
+string(JSON repro_detail GET "${repro_json}" detail)
+string(FIND "${out}" "reproduced: ${repro_kind} (${repro_detail})" at)
+if(at EQUAL -1)
+  message(FATAL_ERROR
+    "replay detail differs from the reproducer's recorded "
+    "'${repro_kind} (${repro_detail})':\n${out}")
+endif()
+
 # 0: the SDC soak (oracle / unaudited twin / audited kRepair triple)
 # passes everywhere — no undetected wrong answers, bit-exact repairs,
 # bounded detection lag.

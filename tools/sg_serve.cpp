@@ -85,7 +85,10 @@ struct Options {
       .default_limits = {.rate_qps = 40000.0, .burst = 128.0,
                          .max_queued = 256},
       .tenant_limits = {{.rate_qps = 32000.0, .burst = 80.0,
-                         .max_queued = 256}}};
+                         .max_queued = 256}},
+      .brownout = {},
+      .reshard = {},
+      .lifecycle = {}};
   int devices = 4;
   partition::Policy policy = partition::Policy::CVC;
   bool async = false;
