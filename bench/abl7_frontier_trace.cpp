@@ -6,7 +6,7 @@
 // update-only sync pays off) directly visible.
 #include <cstdio>
 
-#include "algo/bfs.hpp"
+#include "algo/min_dist.hpp"
 #include "algo/pagerank.hpp"
 #include "bench_common.hpp"
 

@@ -8,7 +8,7 @@
 // Build & run:  ./build/examples/quickstart
 #include <cstdio>
 
-#include "algo/bfs.hpp"
+#include "algo/min_dist.hpp"
 #include "comm/sync_structure.hpp"
 #include "graph/generators.hpp"
 #include "partition/dist_graph.hpp"

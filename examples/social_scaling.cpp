@@ -7,7 +7,7 @@
 #include <cstdio>
 
 #include "algo/cc.hpp"
-#include "algo/bfs.hpp"
+#include "algo/min_dist.hpp"
 #include "comm/sync_structure.hpp"
 #include "graph/datasets.hpp"
 #include "partition/dist_graph.hpp"

@@ -8,7 +8,7 @@
 #include <cstdio>
 #include <vector>
 
-#include "algo/bfs.hpp"
+#include "algo/min_dist.hpp"
 #include "algo/pagerank.hpp"
 #include "comm/sync_structure.hpp"
 #include "graph/datasets.hpp"

@@ -1,6 +1,4 @@
-#include "algo/bfs.hpp"
-
-#include "algo/results.hpp"
+#include "algo/min_dist.hpp"
 
 namespace sg::algo {
 
@@ -9,16 +7,9 @@ BfsResult run_bfs(const partition::DistGraph& dg,
                   const sim::CostParams& params,
                   const engine::EngineConfig& config,
                   graph::VertexId source) {
-  BfsProgram program(source);
-  auto result = engine::run(dg, sync, topo, params, config, program);
-  BfsResult out;
-  out.dist = gather_master_values<std::uint32_t>(
-      result.layout(dg), result.states,
-      [](const BfsProgram::DeviceState& st, graph::VertexId v) {
-        return st.dist[v];
-      });
-  out.stats = std::move(result.stats);
-  return out;
+  return run_gathered<BfsResult>(
+      dg, sync, topo, params, config, BfsProgram(source),
+      [](const auto& st, graph::VertexId v) { return st.dist[v]; });
 }
 
 }  // namespace sg::algo

@@ -1,182 +1,6 @@
 #pragma once
 
-#include <cstdint>
-#include <limits>
-#include <string>
-#include <vector>
-
-#include "algo/seed.hpp"
-#include "comm/reduction.hpp"
-#include "engine/executor.hpp"
-#include "integrity/audit.hpp"
-
-namespace sg::algo {
-
-inline constexpr std::uint32_t kInfDist =
-    std::numeric_limits<std::uint32_t>::max();
-
-/// Breadth-first search: data-driven push vertex program (the D-IrGL
-/// implementation style). Labels are hop distances; the reduction is
-/// min, which is monotone, so BASP's stale interleavings are safe.
-class BfsProgram {
- public:
-  using ReduceValue = std::uint32_t;
-  using ReduceOp = comm::MinOp<std::uint32_t>;
-  using BcastValue = std::uint32_t;
-  using BcastOp = comm::MinOp<std::uint32_t>;
-  static constexpr bool kDataDriven = true;
-  static constexpr std::uint64_t kExtraBytesPerVertex = 0;
-
-  explicit BfsProgram(graph::VertexId source) : source_(source) {}
-
-  [[nodiscard]] const char* name() const { return "bfs"; }
-  [[nodiscard]] comm::SyncPattern pattern() const {
-    return comm::SyncPattern::push();
-  }
-
-  struct DeviceState {
-    std::vector<std::uint32_t> dist;
-
-    template <class Ar>
-    void archive(Ar& ar) {
-      ar(dist);
-    }
-
-    template <class Ar>
-    void archive_vertex(Ar& ar, graph::VertexId v) {
-      ar(dist[v]);
-    }
-  };
-
-  void init(const partition::LocalGraph& lg, DeviceState& st,
-            engine::RoundCtx& ctx) const {
-    st.dist.assign(lg.num_local, kInfDist);
-    if (const auto v = resolve_seed(lg, source_)) {
-      st.dist[*v] = 0;
-      ctx.push(*v);
-    }
-  }
-
-  bool compute_round(const partition::LocalGraph& lg, DeviceState& st,
-                     std::span<const graph::VertexId> frontier,
-                     engine::RoundCtx& ctx) const {
-    for (const graph::VertexId v : frontier) {
-      ctx.record(static_cast<std::uint32_t>(lg.out_degree(v)));
-      const std::uint32_t dv = st.dist[v];
-      if (dv == kInfDist) continue;
-      for (const graph::VertexId u : lg.out_neighbors(v)) {
-        if (dv + 1 < st.dist[u]) {
-          st.dist[u] = dv + 1;
-          ctx.mark_dirty(u, lg.is_master(u));
-          ctx.push(u);
-        }
-      }
-    }
-    return false;  // data-driven: activity is carried by the frontier
-  }
-
-  [[nodiscard]] std::span<ReduceValue> reduce_mirror_src(
-      DeviceState& st) const {
-    return st.dist;
-  }
-  [[nodiscard]] std::span<ReduceValue> reduce_master_dst(
-      DeviceState& st) const {
-    return st.dist;
-  }
-  [[nodiscard]] std::span<const BcastValue> bcast_master_src(
-      const DeviceState& st) const {
-    return st.dist;
-  }
-  [[nodiscard]] std::span<BcastValue> bcast_mirror_dst(
-      DeviceState& st) const {
-    return st.dist;
-  }
-
-  void on_update(const partition::LocalGraph&, DeviceState&,
-                 graph::VertexId v, engine::UpdateKind,
-                 engine::RoundCtx& ctx) const {
-    ctx.push(v);
-  }
-
-  /// ABFT invariant, per audited boundary (integrity auditor,
-  /// DESIGN.md §13). Sound mid-run: relaxation only ever writes
-  /// source-anchored hop counts, so a zero distance anywhere but the
-  /// source can only come from a bit flip.
-  [[nodiscard]] std::string audit_device(const partition::LocalGraph& lg,
-                                         const DeviceState& st) const {
-    for (graph::VertexId v = 0; v < lg.num_local; ++v) {
-      if (st.dist[v] == 0 && lg.l2g[v] != source_) {
-        return "bfs: dist 0 at non-source vertex " +
-               std::to_string(lg.l2g[v]);
-      }
-    }
-    return {};
-  }
-
-  /// Complete fixed-point certificate, run once at the final audit: one
-  /// global relaxation sweep over every edge must reproduce the master
-  /// distances exactly (dist[source] = 0; elsewhere dist[v] = min over
-  /// in-edges of dist[u] + 1, unreachable stays kInfDist). A converged
-  /// clean run satisfies this identically; any surviving wrong-low or
-  /// wrong-high corruption — even fully propagated — breaks it at the
-  /// corrupted vertex or its frontier.
-  [[nodiscard]] std::string audit_global(
-      std::span<const partition::LocalGraph* const> lgs,
-      std::span<const DeviceState* const> sts,
-      const integrity::AuditPolicy&) const {
-    graph::VertexId n = 0;
-    for (const partition::LocalGraph* lg : lgs) {
-      for (graph::VertexId v = 0; v < lg->num_local; ++v) {
-        n = std::max(n, lg->l2g[v] + 1);
-      }
-    }
-    std::vector<std::uint32_t> dist(n, kInfDist);
-    for (std::size_t i = 0; i < lgs.size(); ++i) {
-      for (graph::VertexId v = 0; v < lgs[i]->num_masters; ++v) {
-        dist[lgs[i]->l2g[v]] = sts[i]->dist[v];
-      }
-    }
-    std::vector<std::uint32_t> best(n, kInfDist);
-    for (std::size_t i = 0; i < lgs.size(); ++i) {
-      const partition::LocalGraph& lg = *lgs[i];
-      for (graph::VertexId u = 0; u < lg.num_local; ++u) {
-        const std::uint32_t du = dist[lg.l2g[u]];
-        if (du == kInfDist) continue;
-        for (const graph::VertexId w : lg.out_neighbors(u)) {
-          best[lg.l2g[w]] = std::min(best[lg.l2g[w]], du + 1);
-        }
-      }
-    }
-    for (graph::VertexId v = 0; v < n; ++v) {
-      if (v == source_ && dist[v] == kInfDist && best[v] == kInfDist) {
-        continue;  // source not resident in this graph at all
-      }
-      const std::uint32_t expected = v == source_ ? 0 : best[v];
-      if (dist[v] != expected) {
-        return "bfs: fixed-point violation at vertex " + std::to_string(v) +
-               " (dist " + std::to_string(dist[v]) + ", certificate " +
-               std::to_string(expected) + ")";
-      }
-    }
-    return {};
-  }
-
- private:
-  graph::VertexId source_;
-};
-
-struct BfsResult {
-  std::vector<std::uint32_t> dist;  ///< per global vertex; kInfDist if
-                                    ///< unreachable
-  engine::RunStats stats;
-};
-
-/// Runs distributed bfs from `source` on the partitioned graph.
-[[nodiscard]] BfsResult run_bfs(const partition::DistGraph& dg,
-                                const comm::SyncStructure& sync,
-                                const sim::Topology& topo,
-                                const sim::CostParams& params,
-                                const engine::EngineConfig& config,
-                                graph::VertexId source);
-
-}  // namespace sg::algo
+// bfs lives in the min-distance family header. This name stays because
+// the host-time benchmark (hostbench/hostbench.cpp) includes it for
+// algo::kInfDist, and that tree is not edited alongside the library.
+#include "algo/min_dist.hpp"

@@ -5,30 +5,17 @@
 namespace sg::algo {
 
 namespace {
-template <typename Program>
-CcResult run_cc_impl(const partition::DistGraph& dg,
-                     const comm::SyncStructure& sync,
-                     const sim::Topology& topo,
-                     const sim::CostParams& params,
-                     const engine::EngineConfig& config) {
-  Program program;
-  auto result = engine::run(dg, sync, topo, params, config, program);
-  CcResult out;
-  out.label = gather_master_values<std::uint32_t>(
-      result.layout(dg), result.states,
-      [](const typename Program::DeviceState& st, graph::VertexId v) {
-        return st.label[v];
-      });
-  out.stats = std::move(result.stats);
-  return out;
-}
+constexpr auto kLabelOf = [](const auto& st, graph::VertexId v) {
+  return st.label[v];
+};
 }  // namespace
 
 CcResult run_cc(const partition::DistGraph& dg,
                 const comm::SyncStructure& sync, const sim::Topology& topo,
                 const sim::CostParams& params,
                 const engine::EngineConfig& config) {
-  return run_cc_impl<CcProgram>(dg, sync, topo, params, config);
+  return run_gathered<CcResult>(dg, sync, topo, params, config, CcProgram{},
+                                kLabelOf);
 }
 
 CcResult run_cc_pointer_jump(const partition::DistGraph& dg,
@@ -36,7 +23,8 @@ CcResult run_cc_pointer_jump(const partition::DistGraph& dg,
                              const sim::Topology& topo,
                              const sim::CostParams& params,
                              const engine::EngineConfig& config) {
-  return run_cc_impl<CcPointerJumpProgram>(dg, sync, topo, params, config);
+  return run_gathered<CcResult>(dg, sync, topo, params, config,
+                                CcPointerJumpProgram{}, kLabelOf);
 }
 
 }  // namespace sg::algo

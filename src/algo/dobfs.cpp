@@ -2,8 +2,6 @@
 
 #include <stdexcept>
 
-#include "algo/results.hpp"
-
 namespace sg::algo {
 
 BfsResult run_bfs_direction_opt(const partition::DistGraph& dg,
@@ -16,16 +14,9 @@ BfsResult run_bfs_direction_opt(const partition::DistGraph& dg,
     throw std::invalid_argument(
         "direction-optimizing bfs is level-synchronous; use Sync");
   }
-  DirectionOptBfsProgram program(source);
-  auto result = engine::run(dg, sync, topo, params, config, program);
-  BfsResult out;
-  out.dist = gather_master_values<std::uint32_t>(
-      result.layout(dg), result.states,
-      [](const DirectionOptBfsProgram::DeviceState& st, graph::VertexId v) {
-        return st.dist[v];
-      });
-  out.stats = std::move(result.stats);
-  return out;
+  return run_gathered<BfsResult>(
+      dg, sync, topo, params, config, DirectionOptBfsProgram(source),
+      [](const auto& st, graph::VertexId v) { return st.dist[v]; });
 }
 
 }  // namespace sg::algo

@@ -3,7 +3,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "algo/bfs.hpp"
+#include "algo/min_dist.hpp"
 #include "algo/seed.hpp"
 #include "comm/reduction.hpp"
 #include "engine/executor.hpp"
@@ -76,15 +76,8 @@ class DirectionOptBfsProgram {
     if (!pull) {
       for (const graph::VertexId v : frontier) {
         ctx.record(static_cast<std::uint32_t>(lg.out_degree(v)));
-        const std::uint32_t dv = st.dist[v];
-        if (dv == kInfDist) continue;
-        for (const graph::VertexId u : lg.out_neighbors(v)) {
-          if (dv + 1 < st.dist[u]) {
-            st.dist[u] = dv + 1;
-            ctx.mark_dirty(u, lg.is_master(u));
-            ctx.push(u);
-          }
-        }
+        if (st.dist[v] == kInfDist) continue;
+        relax_out_edges<false>(lg, st.dist, v, st.dist[v], ctx);
       }
     } else {
       // Bottom-up: in level-synchronous BSP the frontier is uniformly at
@@ -99,13 +92,7 @@ class DirectionOptBfsProgram {
       for (const graph::VertexId v : frontier) {
         if (st.dist[v] == lvl || st.dist[v] == kInfDist) continue;
         ctx.record(static_cast<std::uint32_t>(lg.out_degree(v)));
-        for (const graph::VertexId u : lg.out_neighbors(v)) {
-          if (st.dist[v] + 1 < st.dist[u]) {
-            st.dist[u] = st.dist[v] + 1;
-            ctx.mark_dirty(u, lg.is_master(u));
-            ctx.push(u);
-          }
-        }
+        relax_out_edges<false>(lg, st.dist, v, st.dist[v], ctx);
       }
       if (lvl == kInfDist) return false;
       for (graph::VertexId v = 0; v < lg.num_local; ++v) {

@@ -9,16 +9,11 @@ KCoreResult run_kcore(const partition::DistGraph& dg,
                       const sim::Topology& topo,
                       const sim::CostParams& params,
                       const engine::EngineConfig& config, std::uint32_t k) {
-  KCoreProgram program(k);
-  auto result = engine::run(dg, sync, topo, params, config, program);
-  KCoreResult out;
-  out.in_core = gather_master_values<std::uint8_t>(
-      result.layout(dg), result.states,
+  return run_gathered<KCoreResult>(
+      dg, sync, topo, params, config, KCoreProgram(k),
       [](const KCoreProgram::DeviceState& st, graph::VertexId v) {
         return static_cast<std::uint8_t>(st.dead[v] == 0 ? 1 : 0);
       });
-  out.stats = std::move(result.stats);
-  return out;
 }
 
 }  // namespace sg::algo

@@ -1,8 +1,4 @@
-#include "algo/mssssp.hpp"
-
-#include <stdexcept>
-
-#include "algo/results.hpp"
+#include "algo/min_dist.hpp"
 
 namespace sg::algo {
 
@@ -12,32 +8,8 @@ MsSsspResult run_mssssp(const partition::DistGraph& dg,
                         const sim::CostParams& params,
                         const engine::EngineConfig& config,
                         std::span<const graph::VertexId> sources) {
-  if (sources.empty()) {
-    throw std::invalid_argument("run_mssssp: no sources");
-  }
-  if (sources.size() > MsSsspProgram::kMaxSources) {
-    throw std::invalid_argument(
-        "run_mssssp: " + std::to_string(sources.size()) +
-        " sources exceed the " +
-        std::to_string(MsSsspProgram::kMaxSources) + "-lane batch width");
-  }
-  MsSsspProgram program(sources);
-  auto result = engine::run(dg, sync, topo, params, config, program);
-  const auto lanes = gather_master_values<MsSsspProgram::Lanes>(
-      result.layout(dg), result.states,
-      [](const MsSsspProgram::DeviceState& st, graph::VertexId v) {
-        return st.dist[v];
-      });
-  MsSsspResult out;
-  out.dist.resize(sources.size());
-  for (std::size_t i = 0; i < sources.size(); ++i) {
-    out.dist[i].resize(lanes.size());
-    for (std::size_t v = 0; v < lanes.size(); ++v) {
-      out.dist[i][v] = lanes[v].lane[i];
-    }
-  }
-  out.stats = std::move(result.stats);
-  return out;
+  return run_multi_min_dist<std::uint64_t, true>(dg, sync, topo, params,
+                                                 config, sources);
 }
 
 }  // namespace sg::algo

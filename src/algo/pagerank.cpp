@@ -4,22 +4,21 @@
 
 namespace sg::algo {
 
+namespace {
+constexpr auto kRankOf = [](const auto& st, graph::VertexId v) {
+  return st.rank[v];
+};
+}  // namespace
+
 PageRankResult run_pagerank(const partition::DistGraph& dg,
                             const comm::SyncStructure& sync,
                             const sim::Topology& topo,
                             const sim::CostParams& params,
                             const engine::EngineConfig& config, float alpha,
                             float tolerance) {
-  PageRankPullProgram program(alpha, tolerance);
-  auto result = engine::run(dg, sync, topo, params, config, program);
-  PageRankResult out;
-  out.rank = gather_master_values<float>(
-      result.layout(dg), result.states,
-      [](const PageRankPullProgram::DeviceState& st, graph::VertexId v) {
-        return st.rank[v];
-      });
-  out.stats = std::move(result.stats);
-  return out;
+  return run_gathered<PageRankResult>(dg, sync, topo, params, config,
+                                      PageRankPullProgram(alpha, tolerance),
+                                      kRankOf);
 }
 
 PageRankResult run_pagerank_lux(const partition::DistGraph& dg,
@@ -28,16 +27,9 @@ PageRankResult run_pagerank_lux(const partition::DistGraph& dg,
                                 const sim::CostParams& params,
                                 const engine::EngineConfig& config,
                                 float alpha) {
-  LuxPageRankProgram program(dg.global_vertices(), alpha);
-  auto result = engine::run(dg, sync, topo, params, config, program);
-  PageRankResult out;
-  out.rank = gather_master_values<float>(
-      result.layout(dg), result.states,
-      [](const LuxPageRankProgram::DeviceState& st, graph::VertexId v) {
-        return st.rank[v];
-      });
-  out.stats = std::move(result.stats);
-  return out;
+  return run_gathered<PageRankResult>(
+      dg, sync, topo, params, config,
+      LuxPageRankProgram(dg.global_vertices(), alpha), kRankOf);
 }
 
 }  // namespace sg::algo

@@ -11,16 +11,9 @@ PprResult run_ppr(const partition::DistGraph& dg,
                   const sim::CostParams& params,
                   const engine::EngineConfig& config, graph::VertexId seed,
                   double alpha, double epsilon) {
-  PprProgram program(seed, alpha, epsilon);
-  auto result = engine::run(dg, sync, topo, params, config, program);
-  PprResult out;
-  out.mass = gather_master_values<double>(
-      result.layout(dg), result.states,
-      [](const PprProgram::DeviceState& st, graph::VertexId v) {
-        return st.mass[v];
-      });
-  out.stats = std::move(result.stats);
-  return out;
+  return run_gathered<PprResult>(
+      dg, sync, topo, params, config, PprProgram(seed, alpha, epsilon),
+      [](const auto& st, graph::VertexId v) { return st.mass[v]; });
 }
 
 namespace reference {

@@ -1,8 +1,5 @@
 #include "algo/ppr_batch.hpp"
 
-#include <stdexcept>
-#include <string>
-
 #include "algo/results.hpp"
 
 namespace sg::algo {
@@ -14,32 +11,10 @@ PprBatchResult run_ppr_batch(const partition::DistGraph& dg,
                              const engine::EngineConfig& config,
                              std::span<const graph::VertexId> seeds,
                              double alpha, double epsilon) {
-  if (seeds.empty()) {
-    throw std::invalid_argument("run_ppr_batch: no seeds");
-  }
-  if (seeds.size() > kPprBatchLanes) {
-    throw std::invalid_argument(
-        "run_ppr_batch: " + std::to_string(seeds.size()) +
-        " seeds exceed the " + std::to_string(kPprBatchLanes) +
-        "-lane batch width");
-  }
-  PprBatchProgram program(seeds, alpha, epsilon);
-  auto result = engine::run(dg, sync, topo, params, config, program);
-  const auto lanes = gather_master_values<PprBatchProgram::Lanes>(
-      result.layout(dg), result.states,
-      [](const PprBatchProgram::DeviceState& st, graph::VertexId v) {
-        return st.mass[v];
-      });
-  PprBatchResult out;
-  out.mass.resize(seeds.size());
-  for (std::size_t i = 0; i < seeds.size(); ++i) {
-    out.mass[i].resize(lanes.size());
-    for (std::size_t v = 0; v < lanes.size(); ++v) {
-      out.mass[i][v] = lanes[v].lane[i];
-    }
-  }
-  out.stats = std::move(result.stats);
-  return out;
+  check_lane_batch("run_ppr_batch", "seeds", seeds.size(), kPprBatchLanes);
+  return run_gathered<PprBatchResult>(
+      dg, sync, topo, params, config, PprBatchProgram(seeds, alpha, epsilon),
+      [](const auto& st, graph::VertexId v) { return st.mass[v]; });
 }
 
 }  // namespace sg::algo

@@ -243,9 +243,7 @@ class PprBatchProgram {
     ctx.push(v);
   }
 
-  [[nodiscard]] std::span<const graph::VertexId> seeds() const {
-    return seeds_;
-  }
+  [[nodiscard]] std::size_t num_lanes() const { return seeds_.size(); }
 
  private:
   std::vector<graph::VertexId> seeds_;

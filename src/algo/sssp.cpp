@@ -1,6 +1,4 @@
-#include "algo/sssp.hpp"
-
-#include "algo/results.hpp"
+#include "algo/min_dist.hpp"
 
 namespace sg::algo {
 
@@ -9,16 +7,9 @@ SsspResult run_sssp(const partition::DistGraph& dg,
                     const sim::Topology& topo, const sim::CostParams& params,
                     const engine::EngineConfig& config,
                     graph::VertexId source) {
-  SsspProgram program(source);
-  auto result = engine::run(dg, sync, topo, params, config, program);
-  SsspResult out;
-  out.dist = gather_master_values<std::uint64_t>(
-      result.layout(dg), result.states,
-      [](const SsspProgram::DeviceState& st, graph::VertexId v) {
-        return st.dist[v];
-      });
-  out.stats = std::move(result.stats);
-  return out;
+  return run_gathered<SsspResult>(
+      dg, sync, topo, params, config, SsspProgram(source),
+      [](const auto& st, graph::VertexId v) { return st.dist[v]; });
 }
 
 }  // namespace sg::algo

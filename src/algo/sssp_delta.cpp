@@ -22,16 +22,9 @@ SsspResult run_sssp_delta(const partition::DistGraph& dg,
     delta = edges > 0 ? std::max<std::uint64_t>(1, 4 * total_weight / edges)
                       : 4;
   }
-  DeltaSsspProgram program(source, delta);
-  auto result = engine::run(dg, sync, topo, params, config, program);
-  SsspResult out;
-  out.dist = gather_master_values<std::uint64_t>(
-      result.layout(dg), result.states,
-      [](const DeltaSsspProgram::DeviceState& st, graph::VertexId v) {
-        return st.dist[v];
-      });
-  out.stats = std::move(result.stats);
-  return out;
+  return run_gathered<SsspResult>(
+      dg, sync, topo, params, config, DeltaSsspProgram(source, delta),
+      [](const auto& st, graph::VertexId v) { return st.dist[v]; });
 }
 
 }  // namespace sg::algo

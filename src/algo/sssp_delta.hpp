@@ -4,7 +4,7 @@
 #include <vector>
 
 #include "algo/seed.hpp"
-#include "algo/sssp.hpp"
+#include "algo/min_dist.hpp"
 #include "comm/reduction.hpp"
 #include "engine/executor.hpp"
 

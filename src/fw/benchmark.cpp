@@ -2,12 +2,11 @@
 
 #include <stdexcept>
 
-#include "algo/bfs.hpp"
 #include "algo/cc.hpp"
 #include "algo/dobfs.hpp"
 #include "algo/kcore.hpp"
+#include "algo/min_dist.hpp"
 #include "algo/pagerank.hpp"
-#include "algo/sssp.hpp"
 #include "graph/datasets.hpp"
 #include "obs/prof.hpp"
 #include "sim/device_memory.hpp"

@@ -1,7 +1,6 @@
 #include "fw/lux.hpp"
 
 #include "algo/pagerank.hpp"
-#include "algo/results.hpp"
 #include "sim/device_memory.hpp"
 
 namespace sg::fw {

@@ -6,9 +6,7 @@
 #include <stdexcept>
 #include <utility>
 
-#include "algo/bfs.hpp"
-#include "algo/msbfs.hpp"
-#include "algo/mssssp.hpp"
+#include "algo/min_dist.hpp"
 #include "algo/ppr_batch.hpp"
 #include "obs/flight.hpp"
 #include "obs/json.hpp"
@@ -530,38 +528,23 @@ void BatchScheduler::dispatch_batch(std::vector<Answer>& answers) {
     }
     return lanes.size();
   };
-  if (is_hop_query(head.kind)) {
-    for (std::size_t i = 0; i < queue_.size(); ++i) {
-      const Query& q = queue_[i].q;
-      if (!is_hop_query(q.kind)) continue;
-      if (lane_of(q.source) == lanes.size()) {
-        if (lanes.size() >= cfg_.batch_width) continue;
-        lanes.push_back(q.source);
-      }
-      taken.push_back(i);
+  // Hop queries share msbfs lanes; ppr and sssp each batch only with
+  // their own kind (sssp lanes exactly like msbfs: weighted min
+  // relaxation is just as order-independent).
+  const auto same_class = [](QueryKind a, QueryKind b) {
+    return is_hop_query(a) ? is_hop_query(b) : a == b;
+  };
+  const std::size_t width = head.kind == QueryKind::kPprTopK
+                                ? cfg_.ppr_batch_width
+                                : cfg_.batch_width;
+  for (std::size_t i = 0; i < queue_.size(); ++i) {
+    const Query& q = queue_[i].q;
+    if (!same_class(head.kind, q.kind)) continue;
+    if (lane_of(q.source) == lanes.size()) {
+      if (lanes.size() >= width) continue;
+      lanes.push_back(q.source);
     }
-  } else if (head.kind == QueryKind::kPprTopK) {
-    for (std::size_t i = 0; i < queue_.size(); ++i) {
-      const Query& q = queue_[i].q;
-      if (q.kind != QueryKind::kPprTopK) continue;
-      if (lane_of(q.source) == lanes.size()) {
-        if (lanes.size() >= cfg_.ppr_batch_width) continue;
-        lanes.push_back(q.source);
-      }
-      taken.push_back(i);
-    }
-  } else {
-    // sssp: lane-batched exactly like msbfs (weighted min relaxation is
-    // just as order-independent), so distinct sources share one run.
-    for (std::size_t i = 0; i < queue_.size(); ++i) {
-      const Query& q = queue_[i].q;
-      if (q.kind != QueryKind::kSsspDist) continue;
-      if (lane_of(q.source) == lanes.size()) {
-        if (lanes.size() >= cfg_.batch_width) continue;
-        lanes.push_back(q.source);
-      }
-      taken.push_back(i);
-    }
+    taken.push_back(i);
   }
 
   // Shared epilogue: drop `taken` from the queue (order of the

@@ -6,13 +6,15 @@
 
 #include <cmath>
 #include <tuple>
+#include <vector>
 
-#include "algo/bfs.hpp"
 #include "algo/cc.hpp"
+#include "algo/dobfs.hpp"
 #include "algo/kcore.hpp"
+#include "algo/min_dist.hpp"
 #include "algo/pagerank.hpp"
 #include "algo/reference.hpp"
-#include "algo/sssp.hpp"
+#include "algo/results.hpp"
 #include "graph/datasets.hpp"
 #include "graph/generators.hpp"
 #include "helpers.hpp"
@@ -229,9 +231,24 @@ TEST(AlgoShapes, SsspRespectsWeightsOverHops) {
   PreparedGraph prep(g, partition::Policy::IEC, 2);
   const auto t = topo(2);
   const auto p = params();
-  const auto r = algo::run_sssp(prep.dist, prep.sync, t, p,
-                                cfg(engine::ExecModel::kSync), 0);
+  const auto c = cfg(engine::ExecModel::kSync);
+  const auto r = algo::run_sssp(prep.dist, prep.sync, t, p, c, 0);
   EXPECT_EQ(r.dist[2], 2u);
+  // bfs shares sssp's relaxation but must ignore the weights: vertex 2
+  // is one hop from the source on every bfs entry point.
+  EXPECT_EQ(algo::run_bfs(prep.dist, prep.sync, t, p, c, 0).dist[2], 1u);
+  EXPECT_EQ(
+      algo::run_bfs_direction_opt(prep.dist, prep.sync, t, p, c, 0).dist[2],
+      1u);
+  // This graph is small enough that dobfs always pulls; a pull threshold
+  // above 1 keeps it in push rounds, which run the shared relax step.
+  const auto push = algo::run_gathered<algo::BfsResult>(
+      prep.dist, prep.sync, t, p, c, algo::DirectionOptBfsProgram(0, 2.0),
+      [](const auto& st, graph::VertexId v) { return st.dist[v]; });
+  EXPECT_EQ(push.dist[2], 1u);
+  const std::vector<graph::VertexId> sources = {0};
+  EXPECT_EQ(algo::run_msbfs(prep.dist, prep.sync, t, p, c, sources).dist[0][2],
+            1u);
 }
 
 // Scaled dataset integration: the real analogue inputs.

@@ -5,12 +5,11 @@
 // and BASP-specific behavioural properties.
 #include <gtest/gtest.h>
 
-#include "algo/bfs.hpp"
 #include "algo/cc.hpp"
 #include "algo/kcore.hpp"
+#include "algo/min_dist.hpp"
 #include "algo/pagerank.hpp"
 #include "algo/reference.hpp"
-#include "algo/sssp.hpp"
 #include "graph/datasets.hpp"
 #include "graph/generators.hpp"
 #include "helpers.hpp"

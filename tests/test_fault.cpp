@@ -13,12 +13,11 @@
 #include <utility>
 #include <vector>
 
-#include "algo/bfs.hpp"
 #include "algo/cc.hpp"
+#include "algo/min_dist.hpp"
 #include "algo/pagerank.hpp"
 #include "algo/ppr.hpp"
 #include "algo/reference.hpp"
-#include "algo/sssp.hpp"
 #include "engine/termination.hpp"
 #include "fault/chaos.hpp"
 #include "fault/checkpoint.hpp"

@@ -7,6 +7,7 @@
 // the report_diff host-time opt-in bands.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
@@ -15,7 +16,7 @@
 #include <string>
 #include <vector>
 
-#include "algo/bfs.hpp"
+#include "algo/min_dist.hpp"
 #include "engine/config.hpp"
 #include "fault/fault.hpp"
 #include "graph/datasets.hpp"
@@ -344,14 +345,29 @@ TEST(Prof, MergesNestedScopesIntoOneTree) {
 TEST(Prof, SelfOverheadStaysBelowTwoPercentOfRealWork) {
   obs::Profiler p;
   p.set_enabled(true);
-  // Each scope wraps real work several orders of magnitude larger than
-  // a scope enter/exit, so the calibrated overhead estimate must come
-  // out well under 2% of the measured total. The volatile sink keeps
+  // Each scope wraps real work at least 200x the profiler's own
+  // calibrated scope cost, so the overhead estimate must come out well
+  // under 2% of the measured total. The work is sized at run time from
+  // that calibration, because an instrumented build (TSAN) slows scope
+  // bookkeeping far more than plain arithmetic. The volatile sink keeps
   // the optimizer from folding the work away.
   volatile std::uint64_t sink = 0;
+  const auto work = [&](std::uint64_t n) {
+    for (std::uint64_t j = 0; j < n; ++j) sink = sink + j;
+  };
+  const double budget_ns =
+      200.0 * obs::Profiler::calibrated_scope_overhead_ns();
+  std::uint64_t iters = 20'000;
+  for (;; iters *= 2) {
+    const auto t0 = std::chrono::steady_clock::now();
+    work(iters);
+    const std::chrono::duration<double, std::nano> took =
+        std::chrono::steady_clock::now() - t0;
+    if (took.count() >= budget_ns) break;
+  }
   for (int i = 0; i < 200; ++i) {
     const auto s = p.scope("work.chunk");
-    for (std::uint64_t j = 0; j < 20'000; ++j) sink = sink + j;
+    work(iters);
   }
   const auto snap = p.snapshot();
   ASSERT_EQ(snap.scopes, 200u);

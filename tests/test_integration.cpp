@@ -4,12 +4,11 @@
 // OOM-as-missing-point behaviour on large analogues.
 #include <gtest/gtest.h>
 
-#include "algo/bfs.hpp"
 #include "algo/cc.hpp"
 #include "algo/kcore.hpp"
+#include "algo/min_dist.hpp"
 #include "algo/pagerank.hpp"
 #include "algo/reference.hpp"
-#include "algo/sssp.hpp"
 #include "fw/benchmark.hpp"
 #include "fw/dirgl.hpp"
 #include "graph/datasets.hpp"

@@ -13,8 +13,8 @@
 #include <string>
 #include <vector>
 
-#include "algo/bfs.hpp"
 #include "algo/cc.hpp"
+#include "algo/min_dist.hpp"
 #include "algo/pagerank.hpp"
 #include "algo/reference.hpp"
 #include "comm/sync_structure.hpp"

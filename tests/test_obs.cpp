@@ -15,7 +15,7 @@
 #include <string>
 #include <vector>
 
-#include "algo/bfs.hpp"
+#include "algo/min_dist.hpp"
 #include "algo/pagerank.hpp"
 #include "bench_common.hpp"
 #include "engine/config.hpp"

@@ -15,12 +15,11 @@
 #include <string>
 #include <vector>
 
-#include "algo/bfs.hpp"
 #include "algo/cc.hpp"
 #include "algo/kcore.hpp"
+#include "algo/min_dist.hpp"
 #include "algo/pagerank.hpp"
 #include "algo/reference.hpp"
-#include "algo/sssp.hpp"
 #include "comm/sync_structure.hpp"
 #include "fault/chaos.hpp"
 #include "fault/checkpoint.hpp"

@@ -8,15 +8,13 @@
 #include <cmath>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <vector>
 
-#include "algo/bfs.hpp"
-#include "algo/msbfs.hpp"
-#include "algo/mssssp.hpp"
+#include "algo/min_dist.hpp"
 #include "algo/ppr.hpp"
 #include "algo/ppr_batch.hpp"
 #include "algo/reference.hpp"
-#include "algo/sssp.hpp"
 #include "graph/generators.hpp"
 #include "helpers.hpp"
 #include "obs/metrics.hpp"
@@ -83,8 +81,36 @@ TEST(MsBfs, FullWidthLanesBitExactVsSingleSourceRuns) {
   }
 }
 
-TEST(MsBfs, PartialAndDuplicateLanes) {
-  const graph::Csr g = serve_social();
+// The two lane programs share one template; both instantiations must
+// validate their batch and keep partial and duplicate lanes exact.
+struct MsBfsLanes {
+  static graph::Csr graph() { return serve_social(); }
+  static constexpr auto run = algo::run_msbfs;
+  static auto reference(const graph::Csr& g, graph::VertexId s) {
+    return algo::reference::bfs(g, s);
+  }
+};
+struct MsSsspLanes {
+  static graph::Csr graph() { return serve_weighted(); }
+  static constexpr auto run = algo::run_mssssp;
+  static auto reference(const graph::Csr& g, graph::VertexId s) {
+    return algo::reference::sssp(g, s);
+  }
+};
+struct LaneKindName {
+  template <typename T>
+  static std::string GetName(int) {
+    return std::is_same_v<T, MsBfsLanes> ? "msbfs" : "mssssp";
+  }
+};
+
+template <typename Lanes>
+class MinDistLanes : public ::testing::Test {};
+using LaneKinds = ::testing::Types<MsBfsLanes, MsSsspLanes>;
+TYPED_TEST_SUITE(MinDistLanes, LaneKinds, LaneKindName);
+
+TYPED_TEST(MinDistLanes, PartialAndDuplicateLanes) {
+  const graph::Csr g = TypeParam::graph();
   PreparedGraph prep(g, partition::Policy::OEC, 4);
   const auto t = topo(4);
   const auto p = params();
@@ -92,26 +118,26 @@ TEST(MsBfs, PartialAndDuplicateLanes) {
   // 5 lanes, two of them the same source: duplicates are legal and must
   // produce identical lanes.
   const std::vector<graph::VertexId> sources = {0, 17, 300, 17, 599};
-  const auto fused = algo::run_msbfs(prep.dist, prep.sync, t, p, c, sources);
+  const auto fused = TypeParam::run(prep.dist, prep.sync, t, p, c, sources);
   ASSERT_EQ(fused.dist.size(), 5u);
   EXPECT_EQ(fused.dist[1], fused.dist[3]);
   for (std::size_t i = 0; i < sources.size(); ++i) {
-    EXPECT_EQ(fused.dist[i], algo::reference::bfs(g, sources[i]))
+    EXPECT_EQ(fused.dist[i], TypeParam::reference(g, sources[i]))
         << "lane " << i;
   }
 }
 
-TEST(MsBfs, RejectsEmptyAndOverWideBatches) {
-  const graph::Csr g = serve_social();
+TYPED_TEST(MinDistLanes, RejectsEmptyAndOverWideBatches) {
+  const graph::Csr g = TypeParam::graph();
   PreparedGraph prep(g, partition::Policy::OEC, 2);
   const auto t = topo(2);
   const auto p = params();
   const auto c = cfg(engine::ExecModel::kSync);
-  EXPECT_THROW(algo::run_msbfs(prep.dist, prep.sync, t, p, c, {}),
+  EXPECT_THROW((void)TypeParam::run(prep.dist, prep.sync, t, p, c, {}),
                std::invalid_argument);
   const auto too_many =
       stride_sources(algo::MsBfsProgram::kMaxSources + 1, g.num_vertices());
-  EXPECT_THROW(algo::run_msbfs(prep.dist, prep.sync, t, p, c, too_many),
+  EXPECT_THROW((void)TypeParam::run(prep.dist, prep.sync, t, p, c, too_many),
                std::invalid_argument);
 }
 

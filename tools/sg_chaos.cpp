@@ -111,8 +111,7 @@
 #include <tuple>
 #include <vector>
 
-#include "algo/bfs.hpp"
-#include "algo/msbfs.hpp"
+#include "algo/min_dist.hpp"
 #include "algo/reference.hpp"
 #include "comm/sync_structure.hpp"
 #include "engine/config.hpp"

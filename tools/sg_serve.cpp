@@ -51,10 +51,9 @@
 #include <string>
 #include <vector>
 
-#include "algo/bfs.hpp"
+#include "algo/min_dist.hpp"
 #include "algo/ppr.hpp"
 #include "algo/reference.hpp"
-#include "algo/sssp.hpp"
 #include "fw/benchmark.hpp"
 #include "graph/generators.hpp"
 #include "partition/policy.hpp"

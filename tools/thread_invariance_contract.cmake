@@ -6,19 +6,22 @@
 # the traced table2 smoke sweep and the sg_serve replay (BSP and BASP)
 # under SG_THREADS=1 and SG_THREADS=4 and requires byte-identical
 # reports and traces. The gray-failure and SDC ablation smokes run the
-# same phases under active fault plans; their BENCH reports carry host
-# wall time, so they are compared with report_diff at threshold 0 in
-# both directions (host-time fields are not diffed by default).
+# same phases under active fault plans, and the serving and overload
+# ablation smokes drive the msbfs/mssssp/ppr-batch lane kernels; their
+# BENCH reports carry host wall time, so they are compared with
+# report_diff at threshold 0 in both directions (host-time fields are
+# not diffed by default).
 #
 # Invoked as:
 #   cmake -DTABLE2=<table2_singlehost> -DSERVE=<sg_serve>
 #         -DABL9=<abl9_gray_failure> -DABL10=<abl10_sdc_audit>
+#         -DABL11=<abl11_serving> -DABL12=<abl12_serve_overload>
 #         -DREPORT_DIFF=<report_diff> -DWORK=<dir> -P this_file
 
-foreach(var TABLE2 SERVE ABL9 ABL10 REPORT_DIFF WORK)
+foreach(var TABLE2 SERVE ABL9 ABL10 ABL11 ABL12 REPORT_DIFF WORK)
   if(NOT DEFINED ${var})
-    message(FATAL_ERROR
-      "TABLE2, SERVE, ABL9, ABL10, REPORT_DIFF and WORK must be defined")
+    message(FATAL_ERROR "TABLE2, SERVE, ABL9, ABL10, ABL11, ABL12, "
+                        "REPORT_DIFF and WORK must be defined")
   endif()
 endforeach()
 
@@ -47,6 +50,8 @@ foreach(threads 1 4)
                    --report "${dir}/serve_async.json")
   run_with_threads(${threads} SG_BENCH_REPORT_DIR=${dir} "${ABL9}" --smoke)
   run_with_threads(${threads} SG_BENCH_REPORT_DIR=${dir} "${ABL10}" --smoke)
+  run_with_threads(${threads} SG_BENCH_REPORT_DIR=${dir} "${ABL11}" --smoke)
+  run_with_threads(${threads} SG_BENCH_REPORT_DIR=${dir} "${ABL12}" --smoke)
 endforeach()
 
 foreach(file table2.json trace.json serve.json serve_async.json)
@@ -62,7 +67,9 @@ endforeach()
 
 # report_diff only flags a head value that is worse than its baseline,
 # so each pair is diffed both ways.
-foreach(file BENCH_abl9_gray_smoke.json BENCH_abl10_sdc_smoke.json)
+foreach(file BENCH_abl9_gray_smoke.json BENCH_abl10_sdc_smoke.json
+             BENCH_abl11_serving_smoke.json
+             BENCH_abl12_serve_overload_smoke.json)
   foreach(pair "t1;t4" "t4;t1")
     list(GET pair 0 base)
     list(GET pair 1 head)
